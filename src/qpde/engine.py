@@ -6,10 +6,16 @@ Measurement primitive (one trial phase delta_eps, one evolution time t):
     on the register -> controlled inverse swap -> phase gate
     diag(1, e^{i delta_eps t}) on the ancilla -> ancilla H -> P(|0>).
 
-For eigenstate preparations the outcome is the pure interference fringe
+Only the phase gate depends on delta_eps, so the outcome is read from the
+branch overlap z = <U phi0| E^dag U E phi0> of the register evolution U
+and the excitation swap E: p0 = (1 + Re(e^{i delta_eps t} z)) / 2
+(`sampling.fringe_p0`).  One z per (t, n_steps), from the cached
+evolution block, gives a whole sweep grid in one array expression.  For
+eigenstate preparations this is the pure interference fringe
 p0 = (1 + cos((gap - delta_eps) t)) / 2, so scanning delta_eps and
-locating the peak reads off the gap directly; `analytic_p0` evaluates the
-general mixture formula as an independent oracle.
+locating the peak reads off the gap directly.  `qpde_circuit` builds the
+literal interferometer circuit, and `analytic_p0` evaluates the general
+mixture formula; both are independent references for the fringe.
 
 The estimation loop keeps a Gaussian belief over the gap.  Each iteration
 sweeps delta_eps across the prior's +-1 sigma window, fits a Gaussian
@@ -31,10 +37,10 @@ import numpy as np
 from .evolution import TrotterPlan, exact_evolution, trotter_circuit
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .optimizer import collapse_register_block
-from .sampling import EvolutionTrajectorySampler, SamplerSpec, derived_rng, sample_p0
+from .sampling import (EvolutionTrajectorySampler, SamplerSpec, derived_rng,
+                       fringe_p0, sample_p0)
 from .spin import SpinSystem, exact_gap, named_state
-from .statevector import (HADAMARD, Circuit, Gate, Statevector, ancilla_p0,
-                          apply_gate, phase_shift)
+from .statevector import HADAMARD, Circuit, Gate, Statevector, phase_shift
 
 ORTHOGONALITY_ATOL = 1e-10
 
@@ -146,11 +152,14 @@ def _evolution_gate(system: SpinSystem, t: float, evolution: str,
         if n_steps is None:
             raise ValueError("trotter evolution requires n_steps")
         # Same register block collapse_register_block would produce, but
-        # built as a matrix power of the single-step unitary.
+        # built as a matrix power of the single-step unitary.  The power
+        # multiplies the step's rounding error by n_steps; its polar factor
+        # is the nearest unitary.
         one_step = collapse_register_block(
             trotter_circuit(system, TrotterPlan(t / n_steps, 1)),
             max_qubits=system.n_spins).gates[0].matrix
-        return Gate.register(targets, np.linalg.matrix_power(one_step, n_steps))
+        w, _, vh = np.linalg.svd(np.linalg.matrix_power(one_step, n_steps))
+        return Gate.register(targets, w @ vh)
     raise ValueError(f"evolution mode {evolution!r} not recognized")
 
 
@@ -172,27 +181,14 @@ def qpde_circuit(system: SpinSystem, excitation: np.ndarray, t: float,
     return circuit
 
 
-def _pre_phase_state(phi0: Statevector, system: SpinSystem, excitation: np.ndarray,
-                     t: float, evolution: str, n_steps: int | None) -> Statevector:
-    """State after everything up to the ancilla phase gate.
-
-    Only the trial phase depends on delta_eps, so one prefix serves a
-    whole sweep."""
-    n = system.n_spins
-    ancilla = n
-    register = tuple(range(n))
-    state = phi0.tensor(Statevector.basis_state(1, 0))
-    state = apply_gate(state, Gate.single(ancilla, HADAMARD))
-    state = apply_gate(state, Gate.controlled(ancilla, register, excitation))
-    state = apply_gate(state, _evolution_gate(system, t, evolution, n_steps))
-    state = apply_gate(state, Gate.controlled(ancilla, register, excitation.conj().T))
-    return state
-
-
-def _finish_p0(pre_phase: Statevector, phase: float, ancilla: int) -> float:
-    state = apply_gate(pre_phase, Gate.single(ancilla, phase_shift(phase)))
-    state = apply_gate(state, Gate.single(ancilla, HADAMARD))
-    return ancilla_p0(state, ancilla)
+def _branch_overlap(phi0: Statevector, excitation: np.ndarray, system: SpinSystem,
+                    t: float, evolution: str, n_steps: int | None) -> complex:
+    """z = <U phi0| E^dag U E phi0>: the two interferometer branches after
+    the register evolution U, compared through the inverse swap."""
+    evolved = _evolution_gate(system, t, evolution, n_steps).matrix
+    chi0 = evolved @ phi0.amplitudes
+    chi1 = evolved @ (excitation @ phi0.amplitudes)
+    return complex(np.vdot(chi0, excitation.conj().T @ chi1))
 
 
 def qpde_p0(phi0: Statevector, phi1: Statevector, system: SpinSystem, t: float,
@@ -204,8 +200,8 @@ def qpde_p0(phi0: Statevector, phi1: Statevector, system: SpinSystem, t: float,
         raise ValueError("preparation state does not match the system size")
     if excitation is None:
         excitation = build_excitation_unitary(phi0, phi1)
-    pre = _pre_phase_state(phi0, system, excitation, t, evolution, n_steps)
-    return _finish_p0(pre, delta_eps * t, system.n_spins)
+    z = _branch_overlap(phi0, excitation, system, t, evolution, n_steps)
+    return float(fringe_p0(z, delta_eps * t))
 
 
 def analytic_p0(coeffs_c: np.ndarray, coeffs_d: np.ndarray, energies: np.ndarray,
@@ -254,26 +250,24 @@ class _SweepEvaluator:
 
     def run(self, t: float, n_steps: int, grid: np.ndarray,
             iteration: int, attempt: int) -> list[SweepPoint]:
+        z = _branch_overlap(self.phi0, self.excitation, self.system, t,
+                            self.config.evolution, n_steps)
+        exact = fringe_p0(z, grid * t)
         mode = self.sampler.mode
-        points = []
-        noisy = None
-        if mode == "noisy" and self.sampler.p_depol > 0:
-            noisy = self._trajectory_sampler(t, n_steps)
-        pre = _pre_phase_state(self.phi0, self.system, self.excitation, t,
-                               self.config.evolution, n_steps)
-        ancilla = self.system.n_spins
-        for k, delta in enumerate(grid):
-            exact = _finish_p0(pre, delta * t, ancilla)
-            if mode == "exact":
-                value = exact
-            else:
+        values = exact
+        if mode != "exact":
+            noisy = None
+            if mode == "noisy" and self.sampler.p_depol > 0:
+                noisy = self._trajectory_sampler(t, n_steps)
+            values = []
+            for k, (delta, p) in enumerate(zip(grid, exact)):
                 rng = derived_rng(self.sampler.seed, iteration, attempt, k)
                 if noisy is not None:
-                    value = noisy.sample_p0(delta * t, self.sampler.shots, rng)
+                    values.append(noisy.sample_p0(delta * t, self.sampler.shots, rng))
                 else:
-                    value = sample_p0(exact, self.sampler.shots, rng)
-            points.append(SweepPoint(float(delta), value, exact))
-        return points
+                    values.append(sample_p0(p, self.sampler.shots, rng))
+        return [SweepPoint(float(delta), float(value), float(p))
+                for delta, value, p in zip(grid, values, exact)]
 
 
 def sweep(phi0: Statevector, phi1: Statevector, system: SpinSystem, t: float,

@@ -83,9 +83,10 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
     """Weighted least-squares Gaussian fit of a sweep.
 
     Returns converged=False (with the centroid fallback estimate) on
-    degenerate data or when the iteration fails to settle; callers decide
-    what to do with a failed fit.  fallback_sigma defaults to a quarter of
-    the sweep span.
+    degenerate data, when the iteration fails to settle, or when the
+    fitted mean lies more than one sweep span outside the swept window;
+    callers decide what to do with a failed fit.  fallback_sigma defaults
+    to a quarter of the sweep span.
     """
     x = np.asarray(delta_eps, dtype=float)
     y = np.asarray(p0, dtype=float)
@@ -166,7 +167,10 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
             break
 
     offset, amplitude, mu, sigma = theta
-    if not settled or not np.all(np.isfinite(theta)) or sigma <= sigma_floor:
+    # An almost flat fringe lets the mean run off: a peak more than a span
+    # beyond the swept window is not supported by the data.
+    if (not settled or not np.all(np.isfinite(theta)) or sigma <= sigma_floor
+            or not np.min(x) - span <= mu <= np.max(x) + span):
         return _fallback(x, y, fallback_sigma)
     return FitResult(mu=float(mu), sigma=float(sigma), amplitude=float(amplitude),
                      offset=float(offset), converged=True,

@@ -8,12 +8,15 @@ degrade the interference contrast while leaving the peak position
 unbiased on average.  Only genuine two-qubit gates carry noise; compact
 multi-qubit blocks and single-qubit rotations are treated as clean.
 
+Every interferometer run reads one fringe: with the register branches
+chi_b = U_evo |phi_b> and their overlap z = <chi_0| U_swap^dag |chi_1>,
+the ancilla |0> probability is p0 = (1 + Re(e^{i delta_eps t} z)) / 2,
+computed only by `fringe_p0`.  The engine feeds it the clean overlap of a
+(t, n_steps) for a whole grid of trial phases; `EvolutionTrajectorySampler`
+feeds it one overlap per noisy trajectory, each tracked in the frame
+before the evolution through precomputed prefix products.
 `noisy_trajectory_p0` is the literal, gate-by-gate trajectory average for
-an arbitrary circuit.  `EvolutionTrajectorySampler` is the fast path used
-inside sweeps: it factors the interference probability through the
-branch overlap z = <chi_0| U_swap^dag |chi_1>, which lets one batch of
-trajectories serve every shot at a sweep point, with segments between
-Pauli insertions applied via precomputed prefix products.
+an arbitrary circuit, the reference the fast path is checked against.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevector import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, Gate,
-                          Statevector, ancilla_p0, apply_gate)
+                          Statevector, ancilla_p0, apply_gate, circuit_unitary)
 
 #: The 15 non-identity two-qubit Paulis, in a fixed order.
 TWO_QUBIT_PAULIS = tuple(
@@ -65,6 +68,13 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
+def fringe_p0(z, phase):
+    """Ancilla |0> probability (1 + Re(e^{i phase} z)) / 2 from a branch
+    overlap z at trial phase delta_eps * t; broadcasts over arrays of
+    either."""
+    return np.clip(0.5 * (1.0 + np.real(np.exp(1j * phase) * z)), 0.0, 1.0)
+
+
 def sample_p0(true_p: float, shots: int, rng: np.random.Generator) -> float:
     """Binomial frequency estimate k/shots of a probability."""
     if not 0.0 <= true_p <= 1.0:
@@ -100,20 +110,6 @@ def noisy_trajectory_p0(circuit: Circuit, p_depol: float, rng: np.random.Generat
     return total / n_trajectories
 
 
-def _embed_two_qubit(matrix: np.ndarray, pair: tuple[int, int], n: int) -> np.ndarray:
-    """Full 2^n x 2^n embedding of a 4x4 operator on an ordered pair."""
-    dim = 2 ** n
-    out = np.empty((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    tensor = eye.reshape([2] * n + [dim])
-    tensor = np.moveaxis(tensor, pair, (0, 1))
-    flat = tensor.reshape(4, -1)
-    flat = matrix @ flat
-    tensor = flat.reshape([2, 2] + [2] * (n - 2) + [dim])
-    out[:] = np.moveaxis(tensor, (0, 1), pair).reshape(dim, dim)
-    return out
-
-
 def _distinct_sorted_positions(rng: np.random.Generator, n_gates: int,
                                m: int, rows: int) -> np.ndarray:
     """(rows, m) arrays of distinct gate indices, each row sorted.
@@ -142,8 +138,8 @@ class EvolutionTrajectorySampler:
 
     Both interferometer branches see the same register operations, so a
     trajectory is evolved as an (dim, 2) pair of columns; the resulting
-    branch overlap z gives p0 = (1 + Re(e^{i delta_eps t} z)) / 2, and a
-    single ancilla measurement is drawn per shot.
+    branch overlap z gives p0 through `fringe_p0`, and a single ancilla
+    measurement is drawn per shot.
     """
 
     def __init__(self, branch0: np.ndarray, branch1: np.ndarray,
@@ -152,39 +148,39 @@ class EvolutionTrajectorySampler:
         self.n_gates = len(evolution_gates)
         self.p_depol = float(p_depol)
         dim = 2 ** n_qubits
-        self.psi = np.column_stack([branch0, branch1]).astype(complex)
-        self.excitation_dag = np.asarray(excitation, dtype=complex).conj().T
+        psi = np.column_stack([branch0, branch1]).astype(complex)
+        excitation_dag = np.asarray(excitation, dtype=complex).conj().T
 
         embedded = {}
-        for gate in evolution_gates:
+        self.prefixes = np.empty((self.n_gates + 1, dim, dim), dtype=complex)
+        self.prefixes[0] = np.eye(dim)
+        for g, gate in enumerate(evolution_gates):
             if gate.kind != "two":
                 raise ValueError("trajectory sampler expects two-qubit evolution gates")
             key = (gate.targets, gate.matrix.tobytes())
             if key not in embedded:
-                embedded[key] = _embed_two_qubit(gate.matrix, gate.targets, n_qubits)
-        self.prefixes = np.empty((self.n_gates + 1, dim, dim), dtype=complex)
-        self.prefixes[0] = np.eye(dim)
-        gate_pairs = []
-        for g, gate in enumerate(evolution_gates):
-            key = (gate.targets, gate.matrix.tobytes())
+                embedded[key] = circuit_unitary(Circuit(n_qubits, [gate]))
             self.prefixes[g + 1] = embedded[key] @ self.prefixes[g]
-            gate_pairs.append(gate.targets)
-        self.prefixes_dag = self.prefixes.conj().transpose(0, 2, 1).copy()
 
-        pairs = sorted(set(gate_pairs))
-        self.pair_index = {pair: k for k, pair in enumerate(pairs)}
-        self.gate_pair = np.array([self.pair_index[p] for p in gate_pairs], dtype=int) \
-            if gate_pairs else np.zeros(0, dtype=int)
-        self.pauli_ops = np.stack([
-            np.stack([_embed_two_qubit(p, pair, n_qubits) for p in TWO_QUBIT_PAULIS])
-            for pair in pairs]) if pairs else None
+        pairs = sorted({gate.targets for gate in evolution_gates})
+        self.gate_pair = np.array([pairs.index(gate.targets) for gate in evolution_gates],
+                                  dtype=int)
+        # An embedded Pauli is monomial: amplitude i of its image is
+        # amplitude pauli_rows[i] times pauli_phases[i].
+        ops = np.array([[circuit_unitary(Circuit(n_qubits, [Gate.two(*pair, p)]))
+                         for p in TWO_QUBIT_PAULIS] for pair in pairs]).reshape(-1, 15, dim, dim)
+        self.pauli_rows = np.argmax(np.abs(ops), axis=-1)
+        self.pauli_phases = np.take_along_axis(ops, self.pauli_rows[..., None], -1)[..., 0]
 
-        chi = self.prefixes[-1] @ self.psi
-        self.z_clean = complex(np.vdot(chi[:, 0], self.excitation_dag @ chi[:, 1]))
-
-    def exact_p0(self, phase: float) -> float:
-        return float(np.clip(0.5 * (1.0 + np.real(np.exp(1j * phase) * self.z_clean)),
-                             0.0, 1.0))
+        # In the frame before the evolution, a Pauli sigma after gate k - 1
+        # acts as P_k^dag sigma P_k, and a trajectory that ends there in the
+        # branch pair u has z = <u_0| M |u_1> with M = P_n^dag E^dag P_n.
+        # The pairs P_k psi met by a first insertion are precomputed.
+        final = self.prefixes[-1]
+        self.overlap = final.conj().T @ excitation_dag @ final
+        self.frames = self.prefixes @ psi
+        chi = final @ psi
+        self.z_clean = complex(np.vdot(chi[:, 0], excitation_dag @ chi[:, 1]))
 
     def branch_overlaps(self, shots: int, rng: np.random.Generator) -> np.ndarray:
         """Per-shot branch overlap z after stochastic Pauli insertions."""
@@ -198,24 +194,26 @@ class EvolutionTrajectorySampler:
             rows = np.nonzero(counts == m)[0]
             pos = _distinct_sorted_positions(rng, self.n_gates, int(m), rows.size)
             paulis = rng.integers(0, 15, size=(rows.size, int(m)))
-            state = np.broadcast_to(self.psi, (rows.size,) + self.psi.shape).copy()
-            prev = np.zeros(rows.size, dtype=int)
+            # Row offsets into the flattened batch, for the Pauli permutations.
+            offsets = np.arange(rows.size)[:, None] * self.frames.shape[1]
+            state = self.frames[pos[:, 0] + 1]
             for j in range(int(m)):
-                after = pos[:, j] + 1
-                state = np.matmul(self.prefixes_dag[prev], state)
-                state = np.matmul(self.prefixes[after], state)
-                ops = self.pauli_ops[self.gate_pair[pos[:, j]], paulis[:, j]]
-                state = np.matmul(ops, state)
-                prev = after
-            state = np.matmul(self.prefixes_dag[prev], state)
-            state = np.matmul(self.prefixes[-1][None, :, :], state)
-            v = np.einsum("ij,bj->bi", self.excitation_dag, state[:, :, 1])
+                prefix = self.prefixes[pos[:, j] + 1]
+                if j:
+                    state = np.matmul(prefix, state)
+                pair = self.gate_pair[pos[:, j]]
+                state = (np.take(state.reshape(-1, 2), self.pauli_rows[pair, paulis[:, j]]
+                                 + offsets, axis=0)
+                         * self.pauli_phases[pair, paulis[:, j]][:, :, None])
+                # Back to the initial frame: P_k^dag state = (state^dag P_k)^dag.
+                state = np.matmul(state.conj().transpose(0, 2, 1),
+                                  prefix).conj().transpose(0, 2, 1)
+            v = state[:, :, 1] @ self.overlap.T
             z[rows] = np.einsum("bi,bi->b", state[:, :, 0].conj(), v)
         return z
 
     def sample_p0(self, phase: float, shots: int, rng: np.random.Generator) -> float:
         """One measurement per trajectory, averaged over `shots` shots."""
         z = self.branch_overlaps(shots, rng)
-        p = np.clip(0.5 * (1.0 + np.real(np.exp(1j * phase) * z)), 0.0, 1.0)
-        outcomes = rng.random(shots) < p
+        outcomes = rng.random(shots) < fringe_p0(z, phase)
         return float(np.mean(outcomes))

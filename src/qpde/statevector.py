@@ -11,7 +11,9 @@ Conventions used throughout the package:
 
 States are immutable after construction; gate application returns a new
 Statevector.  Gate matrices are checked for unitarity once, when the Gate
-is built, not on every application.
+is built, not on every application.  The gate kernel acts on a dense
+state or on a (2^n, m) block of column states alike, so a circuit's full
+unitary is built by applying each gate once to the identity block.
 """
 from __future__ import annotations
 
@@ -161,25 +163,25 @@ def phase_shift(angle: float) -> np.ndarray:
 
 def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],
                   n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the listed qubit axes of a dense state."""
+    """Apply a 2^k x 2^k matrix to the listed qubit axes of a dense state,
+    or of every column of a (2^n, m) block."""
     k = len(targets)
-    tensor = amps.reshape([2] * n)
-    tensor = np.moveaxis(tensor, targets, range(k))
-    flat = tensor.reshape(2 ** k, -1)
-    flat = matrix @ flat
-    tensor = flat.reshape([2] * n)
-    return np.moveaxis(tensor, range(k), targets).reshape(-1)
+    shape = [2] * n + list(amps.shape[1:])
+    tensor = np.moveaxis(amps.reshape(shape), targets, range(k))
+    flat = matrix @ tensor.reshape(2 ** k, -1)
+    return np.moveaxis(flat.reshape(shape), range(k), targets).reshape(amps.shape)
 
 
 def _apply_gate_raw(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     if gate.kind == "controlled":
-        tensor = amps.reshape([2] * n).copy()
+        tensor = amps.reshape([2] * n + list(amps.shape[1:])).copy()
         tensor = np.moveaxis(tensor, gate.control, 0)
-        branch = tensor[1].reshape(-1)
+        branch = tensor[1]
         # Target axes shift down by one where they sat above the control.
         shifted = tuple(q if q < gate.control else q - 1 for q in gate.targets)
-        tensor[1] = _apply_matrix(branch, gate.matrix, shifted, n - 1).reshape([2] * (n - 1))
-        return np.moveaxis(tensor, 0, gate.control).reshape(-1)
+        tensor[1] = _apply_matrix(branch.reshape((-1,) + amps.shape[1:]), gate.matrix,
+                                  shifted, n - 1).reshape(branch.shape)
+        return np.moveaxis(tensor, 0, gate.control).reshape(amps.shape)
     return _apply_matrix(amps, gate.matrix, gate.targets, n)
 
 
@@ -201,12 +203,12 @@ def run_circuit(state: Statevector, circuit: Circuit) -> Statevector:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n unitary of the circuit (column-by-column)."""
+    """Full 2^n x 2^n unitary of the circuit: every gate applied once to
+    the whole identity block."""
     n = circuit.n_qubits
     u = np.eye(2 ** n, dtype=complex)
     for gate in circuit.gates:
-        for col in range(u.shape[1]):
-            u[:, col] = _apply_gate_raw(u[:, col], gate, n)
+        u = _apply_gate_raw(u, gate, n)
     return u
 
 

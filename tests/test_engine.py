@@ -5,12 +5,15 @@ import pytest
 import qpde.engine as engine
 from qpde.engine import (EstimatorConfig, PriorSpec, analytic_p0,
                          build_excitation_unitary, check_restart, default_steps,
-                         next_time, qpde_p0, run_estimation, sweep, sweep_grid)
+                         next_time, qpde_circuit, qpde_p0, run_estimation, sweep,
+                         sweep_grid)
+from qpde.evolution import TrotterPlan, trotter_circuit
 from qpde.fitting import FitResult, GaussianEstimate
 from qpde.sampling import SamplerSpec
 from qpde.spin import (linear_chain, named_state, system_eigensystem, triangle,
                        two_spin_system)
-from qpde.statevector import PAULI_Z, Statevector
+from qpde.statevector import (PAULI_Z, Statevector, ancilla_p0, circuit_unitary,
+                              run_circuit)
 
 
 def _states(system, ground, excited):
@@ -150,6 +153,47 @@ def test_sweep_exact_mode_points():
     best = max(points, key=lambda p: p.p0)
     spacing = 20.0 / (config.grid_points - 1)
     assert abs(best.delta_eps - 2.0) <= spacing
+
+
+@pytest.mark.parametrize("evolution", ["exact", "trotter"])
+@pytest.mark.parametrize("system, ground, excited", [
+    (two_spin_system(0.8), "T", "S"),
+    (triangle(0.7, 1.3, 0.9), "Q", "D2"),
+])
+def test_sweep_matches_literal_circuit(system, ground, excited, evolution):
+    phi0, phi1 = _states(system, ground, excited)
+    excitation = build_excitation_unitary(phi0, phi1)
+    t, n_steps = 0.9, 37
+    prior = PriorSpec("gaussian", 1.5, 4.0)
+    points = sweep(phi0, phi1, system, t, prior, EstimatorConfig(evolution=evolution),
+                   SamplerSpec(mode="exact"), n_steps=n_steps)
+    init = phi0.tensor(Statevector.basis_state(1, 0))
+    for point in points:
+        circuit = qpde_circuit(system, excitation, t, point.delta_eps,
+                               evolution=evolution, n_steps=n_steps)
+        literal = ancilla_p0(run_circuit(init, circuit), system.n_spins)
+        assert point.p0 == pytest.approx(literal, abs=1e-12)
+
+
+def test_long_trotter_block_stays_unitary():
+    # A matrix power of the one-step block drifts from unitarity by about
+    # 1e-15 per step and fails the gate's 1e-12 check here.
+    system = triangle(0.7805, 1.2124, 0.7805)
+    block = engine._evolution_gate(system, 8.0, "trotter", 1200).matrix
+    assert np.max(np.abs(block.conj().T @ block - np.eye(8))) < 1e-13
+    literal = circuit_unitary(trotter_circuit(system, TrotterPlan(8.0, 1200)))
+    assert np.max(np.abs(block - literal)) < 1e-10
+
+
+@pytest.mark.parametrize("couplings, sampler_seed", [((1.0, 1.0, 2.0), 17),
+                                                     ((1.0, 1.0, 1.0), 1023)])
+def test_noisy_run_does_not_restart_onto_far_flat_fits(couplings, sampler_seed):
+    # Adopting an almost flat fit whose mean lies far outside the swept
+    # window ends these runs at -57.9 and -246701 against gaps 5 and 3.
+    result = run_estimation(triangle(*couplings), "Q", "D2",
+                            PriorSpec("gaussian", 0.0, 10.0),
+                            sampler=SamplerSpec("noisy", 5000, 0.002, sampler_seed))
+    assert result.accuracy >= 0.85
 
 
 def test_check_restart_window_is_open():

@@ -34,6 +34,15 @@ def test_constant_data_falls_back():
     assert fit.mu == pytest.approx(0.0, abs=1e-12)
 
 
+def test_far_outside_mean_falls_back():
+    # A gentle slope fits best as the flank of a wide Gaussian centred
+    # some fifteen spans to the right; nothing in the window supports it.
+    x = np.linspace(-1.0, 1.0, 21)
+    fit = fit_gaussian(x, 0.5 + 0.01 * x, fallback_sigma=0.5)
+    assert not fit.converged
+    assert -1.0 <= fit.mu <= 1.0
+
+
 def test_fallback_centroid_weights_above_median():
     x = np.linspace(0.0, 10.0, 11)
     y = np.zeros(11)

@@ -10,7 +10,7 @@ import pytest
 from qpde.engine import build_excitation_unitary, qpde_circuit, qpde_p0
 from qpde.evolution import TrotterPlan, trotter_circuit
 from qpde.sampling import (TWO_QUBIT_PAULIS, EvolutionTrajectorySampler,
-                           SamplerSpec, _embed_two_qubit, derived_rng,
+                           SamplerSpec, derived_rng, fringe_p0,
                            noisy_trajectory_p0, sample_p0)
 from qpde.spin import linear_chain, named_state, two_spin_system
 from qpde.statevector import Circuit, Gate, Statevector, circuit_unitary
@@ -92,7 +92,8 @@ def _dm_channel_p0(system, phi0, excitation, t, n_steps, delta, p_depol):
         u = circuit_unitary(Circuit(n, [gate]))
         rho = u @ rho @ u.conj().T
         if len(gate.support) == 2:
-            paulis = [_embed_two_qubit(p, gate.support, n) for p in TWO_QUBIT_PAULIS]
+            paulis = [circuit_unitary(Circuit(n, [Gate.two(*gate.support, p)]))
+                      for p in TWO_QUBIT_PAULIS]
             mixed = sum(p @ rho @ p.conj().T for p in paulis) / 15
             rho = (1 - p_depol) * rho + p_depol * mixed
     return float(np.real(sum(rho[i, i] for i in range(2 ** n) if i % 2 == 0)))
@@ -107,8 +108,7 @@ def test_fast_sampler_matches_density_matrix_channel():
     sampler = EvolutionTrajectorySampler(phi0.amplitudes, phi1.amplitudes,
                                          excitation, gates, 3, p_depol)
     z = sampler.branch_overlaps(120000, derived_rng(11, 0))
-    mean_p0 = float(np.mean(np.clip(0.5 * (1 + np.real(np.exp(1j * delta * t) * z)),
-                                    0.0, 1.0)))
+    mean_p0 = float(np.mean(fringe_p0(z, delta * t)))
     assert mean_p0 == pytest.approx(expected, abs=4e-3)
 
 
@@ -128,8 +128,7 @@ def test_fast_sampler_matches_literal_trajectories():
     sampler = EvolutionTrajectorySampler(phi0.amplitudes, phi1.amplitudes,
                                          excitation, gates := evo_gates, 3, p_depol)
     z = sampler.branch_overlaps(60000, derived_rng(22))
-    fast_mean = float(np.mean(np.clip(0.5 * (1 + np.real(np.exp(1j * delta * t) * z)),
-                                      0.0, 1.0)))
+    fast_mean = float(np.mean(fringe_p0(z, delta * t)))
     # Both are Monte Carlo estimates of the same channel expectation.
     assert abs(fast_mean - literal_mean) <= 0.02
 
