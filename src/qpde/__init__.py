@@ -10,7 +10,7 @@ from .evolution import TrotterPlan, exact_evolution, pair_term_unitary, trotter_
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .linalg import hermitian_eigendecomposition
 from .optimizer import CostReport, collapse_register_block, cost_report, fuse_same_support
-from .sampling import (EvolutionTrajectorySampler, SamplerSpec, derived_rng,
+from .sampling import (SamplerSpec, depolarized_overlap, derived_rng,
                        noisy_trajectory_p0, sample_p0)
 from .spin import (SpectrumReport, SpinEigenfunction, SpinSystem, build_hamiltonian,
                    exact_gap, linear_chain, named_state, spin_eigenbasis,

@@ -24,12 +24,12 @@ import traceback
 from importlib import resources
 from pathlib import Path
 
-from .engine import EstimatorConfig, PriorSpec, run_estimation
+from .engine import EstimatorConfig, PriorSpec, _evolution_gate, run_estimation
 from .evolution import TrotterPlan, trotter_circuit
-from .optimizer import collapse_register_block, cost_report
+from .optimizer import cost_report
 from .sampling import SamplerSpec
 from .spin import SpinSystem, exact_gap, named_state
-from .statevector import inner_product
+from .statevector import Circuit, inner_product
 
 
 class ConfigError(Exception):
@@ -240,8 +240,9 @@ def _write_optimizer_csv(path: Path, system: SpinSystem, pairs):
         for t, n_steps in pairs:
             circuit = trotter_circuit(system, TrotterPlan(t, n_steps))
             pre = cost_report(circuit)
-            post = cost_report(collapse_register_block(circuit,
-                                                       max_qubits=system.n_spins))
+            # The collapsed circuit is the one register block the run evolves with.
+            block = _evolution_gate(system, t, "trotter", n_steps)
+            post = cost_report(Circuit(system.n_spins, [block]))
             writer.writerow([repr(t), n_steps, pre.depth, pre.two_qubit_count,
                              pre.gate_count, post.depth, post.two_qubit_count,
                              post.gate_count])

@@ -17,12 +17,20 @@ locating the peak reads off the gap directly.  `qpde_circuit` builds the
 literal interferometer circuit, and `analytic_p0` evaluates the general
 mixture formula; both are independent references for the fringe.
 
+Shots mode draws one binomial count per grid point from the fringe.
+Noisy mode draws it from the depolarized fringe instead: its mean overlap
+E[z] is computed exactly by `sampling.depolarized_overlap`, once per
+(t, n_steps), from the same one-step Trotter circuit the evolution block
+is built from.
+
 The estimation loop keeps a Gaussian belief over the gap.  Each iteration
 sweeps delta_eps across the prior's +-1 sigma window, fits a Gaussian
-surrogate to the fringe, and multiplies prior and fit.  A fitted mean
-outside the +-lambda_restart * sigma window triggers an adaptive restart:
-the fitted mean becomes the new prior mean, the prior sigma and the
-current (t, n_steps) are kept.  Otherwise the evolution time grows on a
+surrogate to the fringe, and multiplies prior and fit.  A failed fit is
+retried on fresh shot draws, up to `fit_retry_limit` sweeps in all; an
+exact sweep would only repeat itself, so it is not retried.  A fitted
+mean outside the +-lambda_restart * sigma window triggers an adaptive
+restart: the fitted mean becomes the new prior mean, the prior sigma and
+the current (t, n_steps) are kept.  Otherwise the evolution time grows on a
 half-cycle schedule t ~ pi / (2 sigma) until the posterior sigma drops
 below the convergence threshold.
 """
@@ -37,8 +45,8 @@ import numpy as np
 from .evolution import TrotterPlan, exact_evolution, trotter_circuit
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .optimizer import collapse_register_block
-from .sampling import (EvolutionTrajectorySampler, SamplerSpec, derived_rng,
-                       fringe_p0, sample_p0)
+from .sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
+                       sample_p0)
 from .spin import SpinSystem, exact_gap, named_state
 from .statevector import HADAMARD, Circuit, Gate, Statevector, phase_shift
 
@@ -227,26 +235,26 @@ def sweep_grid(prior_mu: float, prior_sigma: float, grid_points: int) -> np.ndar
 class _SweepEvaluator:
     """Evaluates one iteration's sweep under the configured sampler."""
 
-    def __init__(self, phi0: Statevector, phi1: Statevector, system: SpinSystem,
+    def __init__(self, phi0: Statevector, system: SpinSystem,
                  excitation: np.ndarray, config: EstimatorConfig,
                  sampler: SamplerSpec):
-        self.phi0, self.phi1 = phi0, phi1
+        self.phi0 = phi0
         self.system = system
         self.excitation = excitation
         self.config = config
         self.sampler = sampler
         if sampler.mode == "noisy" and config.evolution != "trotter":
             raise ValueError("noisy sampling requires trotterized evolution")
-        self._cache: dict[tuple[float, int | None], object] = {}
+        self._noisy_overlaps: dict[tuple[float, int], complex] = {}
 
-    def _trajectory_sampler(self, t: float, n_steps: int) -> EvolutionTrajectorySampler:
+    def _noisy_overlap(self, t: float, n_steps: int) -> complex:
         key = (t, n_steps)
-        if key not in self._cache:
-            gates = trotter_circuit(self.system, TrotterPlan(t, n_steps)).gates
-            self._cache[key] = EvolutionTrajectorySampler(
-                self.phi0.amplitudes, self.phi1.amplitudes, self.excitation,
-                gates, self.system.n_spins, self.sampler.p_depol)
-        return self._cache[key]
+        if key not in self._noisy_overlaps:
+            step = trotter_circuit(self.system, TrotterPlan(t / n_steps, 1))
+            self._noisy_overlaps[key] = depolarized_overlap(
+                self.phi0.amplitudes, self.excitation, step, n_steps,
+                self.sampler.p_depol)
+        return self._noisy_overlaps[key]
 
     def run(self, t: float, n_steps: int, grid: np.ndarray,
             iteration: int, attempt: int) -> list[SweepPoint]:
@@ -255,17 +263,12 @@ class _SweepEvaluator:
         exact = fringe_p0(z, grid * t)
         mode = self.sampler.mode
         values = exact
+        if mode == "noisy":
+            values = fringe_p0(self._noisy_overlap(t, n_steps), grid * t)
         if mode != "exact":
-            noisy = None
-            if mode == "noisy" and self.sampler.p_depol > 0:
-                noisy = self._trajectory_sampler(t, n_steps)
-            values = []
-            for k, (delta, p) in enumerate(zip(grid, exact)):
-                rng = derived_rng(self.sampler.seed, iteration, attempt, k)
-                if noisy is not None:
-                    values.append(noisy.sample_p0(delta * t, self.sampler.shots, rng))
-                else:
-                    values.append(sample_p0(p, self.sampler.shots, rng))
+            values = [sample_p0(p, self.sampler.shots,
+                                derived_rng(self.sampler.seed, iteration, attempt, k))
+                      for k, p in enumerate(values)]
         return [SweepPoint(float(delta), float(value), float(p))
                 for delta, value, p in zip(grid, values, exact)]
 
@@ -277,7 +280,7 @@ def sweep(phi0: Statevector, phi1: Statevector, system: SpinSystem, t: float,
     if n_steps is None:
         n_steps = default_steps(system, t, config.steps_per_unit_time)
     excitation = build_excitation_unitary(phi0, phi1)
-    evaluator = _SweepEvaluator(phi0, phi1, system, excitation, config, sampler)
+    evaluator = _SweepEvaluator(phi0, system, excitation, config, sampler)
     grid = sweep_grid(prior.mu, prior.sigma, config.grid_points)
     return evaluator.run(t, n_steps, grid, iteration, 0)
 
@@ -319,7 +322,7 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
     phi0 = named_state(phi0_label, system.n_spins).to_statevector()
     phi1 = named_state(phi1_label, system.n_spins).to_statevector()
     excitation = build_excitation_unitary(phi0, phi1)
-    evaluator = _SweepEvaluator(phi0, phi1, system, excitation, config, sampler)
+    evaluator = _SweepEvaluator(phi0, system, excitation, config, sampler)
     _, reference_gap = exact_gap(system, phi0_label, phi1_label)
 
     schedule = config.explicit_schedule
@@ -335,11 +338,13 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
     trace: list[IterationRecord] = []
     converged = False
     consecutive_restarts = 0
+    # An exact sweep ignores the attempt index, so a retry would repeat it.
+    fit_attempts = 1 if sampler.mode == "exact" else config.fit_retry_limit
 
     for iteration in range(config.max_iterations):
         grid = sweep_grid(belief.mu, belief.sigma, config.grid_points)
         fit = None
-        for attempt in range(config.fit_retry_limit):
+        for attempt in range(fit_attempts):
             points = evaluator.run(t, n_steps, grid, iteration, attempt)
             fit = fit_gaussian(np.array([p.delta_eps for p in points]),
                                np.array([p.p0 for p in points]),

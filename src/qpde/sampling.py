@@ -1,31 +1,34 @@
-"""Shot sampling and stochastic depolarizing noise.
-
-Noise model: after every two-qubit gate, with probability p_depol a
-uniformly random non-identity two-qubit Pauli is inserted on that gate's
-pair.  Each shot is one such stochastic trajectory followed by a single
-ancilla measurement, which emulates how gate errors on a real device
-degrade the interference contrast while leaving the peak position
-unbiased on average.  Only genuine two-qubit gates carry noise; compact
-multi-qubit blocks and single-qubit rotations are treated as clean.
+"""Shot sampling and the depolarizing noise channel.
 
 Every interferometer run reads one fringe: with the register branches
 chi_b = U_evo |phi_b> and their overlap z = <chi_0| U_swap^dag |chi_1>,
 the ancilla |0> probability is p0 = (1 + Re(e^{i delta_eps t} z)) / 2,
-computed only by `fringe_p0`.  The engine feeds it the clean overlap of a
-(t, n_steps) for a whole grid of trial phases; `EvolutionTrajectorySampler`
-feeds it one overlap per noisy trajectory, each tracked in the frame
-before the evolution through precomputed prefix products.
-`noisy_trajectory_p0` is the literal, gate-by-gate trajectory average for
-an arbitrary circuit, the reference the fast path is checked against.
+computed only by `fringe_p0`.
+
+Noise model: after every two-qubit gate, with probability p_depol a
+uniformly random non-identity two-qubit Pauli is inserted on that gate's
+pair.  Only genuine two-qubit gates carry noise; compact multi-qubit
+blocks and single-qubit rotations are treated as clean.  Each shot is one
+such trajectory followed by a single ancilla measurement, so a sweep
+point's count is exactly Binomial(shots, fringe_p0(E[z], phase)): the
+trajectories enter only through the mean overlap E[z].  Both branches
+see the same register operations, so z is linear in the branch coherence
+X = U_swap |phi_0><phi_0| and E[z] = tr(U_swap^dag Phi(X)) for the
+depolarizing channel Phi of the evolution.  `depolarized_overlap`
+computes it exactly from one Trotter step's superoperator, written as a
+real Pauli transfer matrix, raised to the step count.  `noisy_trajectory_p0` is the literal, gate-by-gate
+trajectory average for an arbitrary circuit, the reference the channel is
+checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .statevector import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, Gate,
-                          Statevector, ancilla_p0, apply_gate, circuit_unitary)
+                          Statevector, _apply_matrix, ancilla_p0, apply_gate)
 
 #: The 15 non-identity two-qubit Paulis, in a fixed order.
 TWO_QUBIT_PAULIS = tuple(
@@ -40,9 +43,10 @@ TWO_QUBIT_PAULIS = tuple(
 class SamplerSpec:
     """How sweep probabilities are turned into data.
 
-    mode "exact" returns ideal probabilities, "shots" adds binomial
-    sampling, "noisy" adds depolarizing trajectories plus one measurement
-    per shot.  All randomness derives from `seed`.
+    mode "exact" returns ideal probabilities, "shots" draws one binomial
+    count of `shots` measurements per sweep point, and "noisy" draws it
+    from the depolarized fringe, each shot being one noise trajectory and
+    one measurement.  All randomness derives from `seed`.
     """
 
     mode: str = "exact"
@@ -110,110 +114,55 @@ def noisy_trajectory_p0(circuit: Circuit, p_depol: float, rng: np.random.Generat
     return total / n_trajectories
 
 
-def _distinct_sorted_positions(rng: np.random.Generator, n_gates: int,
-                               m: int, rows: int) -> np.ndarray:
-    """(rows, m) arrays of distinct gate indices, each row sorted.
+@lru_cache(maxsize=4)
+def _pauli_basis(n_qubits: int) -> np.ndarray:
+    """The 4^n n-qubit Paulis over sqrt(2^n), an orthonormal operator basis.
 
-    Rejection sampling is cheap while collisions are rare (m << n_gates,
-    the p_depol << 1 regime); dense draws fall back to random-key sorting.
+    Index digits are base 4 per qubit, qubit 0 most significant, so the
+    Pauli digit of qubit q sits on bits (2q, 2q + 1) of a 2n-bit index.
     """
-    if m * m >= n_gates:
-        keys = rng.random((rows, n_gates))
-        pos = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        pos.sort(axis=1)
-        return pos
-    pos = rng.integers(0, n_gates, size=(rows, m))
-    pos.sort(axis=1)
-    while True:
-        bad = np.any(pos[:, 1:] == pos[:, :-1], axis=1) if m > 1 else np.zeros(rows, bool)
-        if not bad.any():
-            return pos
-        redraw = rng.integers(0, n_gates, size=(int(bad.sum()), m))
-        redraw.sort(axis=1)
-        pos[bad] = redraw
+    basis = [np.eye(1)]
+    for _ in range(n_qubits):
+        basis = [np.kron(b, p) for b in basis for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)]
+    basis = np.array(basis) / np.sqrt(2 ** n_qubits)
+    basis.setflags(write=False)
+    return basis
 
 
-class EvolutionTrajectorySampler:
-    """Batched trajectory sampling of the interference probability.
+def _pauli_transfer(unitary: np.ndarray) -> np.ndarray:
+    """Real matrix of X -> U X U^dag in the two-qubit Pauli basis."""
+    basis = _pauli_basis(2)
+    return np.einsum("aij,bji->ab", basis, unitary @ basis @ unitary.conj().T).real
 
-    Both interferometer branches see the same register operations, so a
-    trajectory is evolved as an (dim, 2) pair of columns; the resulting
-    branch overlap z gives p0 through `fringe_p0`, and a single ancilla
-    measurement is drawn per shot.
+
+def depolarized_overlap(phi0: np.ndarray, excitation: np.ndarray, step: Circuit,
+                        n_steps: int, p_depol: float) -> complex:
+    """Mean branch overlap E[z] of `n_steps` noisy repetitions of `step`.
+
+    The channel acts on the branch coherence X = E |phi0><phi0|, written
+    in the Pauli basis, where it is real: each gate's transfer matrix is
+    followed by the depolarizing insertion on its pair, which keeps a
+    Pauli acting there with weight (1 - p) - p / 15 and leaves the others
+    unchanged.  The step's transfer matrix raised to `n_steps` carries X
+    to the end of the evolution, where E[z] = tr(E^dag X).  With
+    p_depol = 0 this is the clean overlap.
     """
-
-    def __init__(self, branch0: np.ndarray, branch1: np.ndarray,
-                 excitation: np.ndarray, evolution_gates: list[Gate],
-                 n_qubits: int, p_depol: float):
-        self.n_gates = len(evolution_gates)
-        self.p_depol = float(p_depol)
-        dim = 2 ** n_qubits
-        psi = np.column_stack([branch0, branch1]).astype(complex)
-        excitation_dag = np.asarray(excitation, dtype=complex).conj().T
-
-        embedded = {}
-        self.prefixes = np.empty((self.n_gates + 1, dim, dim), dtype=complex)
-        self.prefixes[0] = np.eye(dim)
-        for g, gate in enumerate(evolution_gates):
-            if gate.kind != "two":
-                raise ValueError("trajectory sampler expects two-qubit evolution gates")
-            key = (gate.targets, gate.matrix.tobytes())
-            if key not in embedded:
-                embedded[key] = circuit_unitary(Circuit(n_qubits, [gate]))
-            self.prefixes[g + 1] = embedded[key] @ self.prefixes[g]
-
-        pairs = sorted({gate.targets for gate in evolution_gates})
-        self.gate_pair = np.array([pairs.index(gate.targets) for gate in evolution_gates],
-                                  dtype=int)
-        # An embedded Pauli is monomial: amplitude i of its image is
-        # amplitude pauli_rows[i] times pauli_phases[i].
-        ops = np.array([[circuit_unitary(Circuit(n_qubits, [Gate.two(*pair, p)]))
-                         for p in TWO_QUBIT_PAULIS] for pair in pairs]).reshape(-1, 15, dim, dim)
-        self.pauli_rows = np.argmax(np.abs(ops), axis=-1)
-        self.pauli_phases = np.take_along_axis(ops, self.pauli_rows[..., None], -1)[..., 0]
-
-        # In the frame before the evolution, a Pauli sigma after gate k - 1
-        # acts as P_k^dag sigma P_k, and a trajectory that ends there in the
-        # branch pair u has z = <u_0| M |u_1> with M = P_n^dag E^dag P_n.
-        # The pairs P_k psi met by a first insertion are precomputed.
-        final = self.prefixes[-1]
-        self.overlap = final.conj().T @ excitation_dag @ final
-        self.frames = self.prefixes @ psi
-        chi = final @ psi
-        self.z_clean = complex(np.vdot(chi[:, 0], excitation_dag @ chi[:, 1]))
-
-    def branch_overlaps(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Per-shot branch overlap z after stochastic Pauli insertions."""
-        z = np.full(shots, self.z_clean, dtype=complex)
-        if self.p_depol == 0.0 or self.n_gates == 0:
-            return z
-        counts = rng.binomial(self.n_gates, self.p_depol, size=shots)
-        for m in np.unique(counts):
-            if m == 0:
-                continue
-            rows = np.nonzero(counts == m)[0]
-            pos = _distinct_sorted_positions(rng, self.n_gates, int(m), rows.size)
-            paulis = rng.integers(0, 15, size=(rows.size, int(m)))
-            # Row offsets into the flattened batch, for the Pauli permutations.
-            offsets = np.arange(rows.size)[:, None] * self.frames.shape[1]
-            state = self.frames[pos[:, 0] + 1]
-            for j in range(int(m)):
-                prefix = self.prefixes[pos[:, j] + 1]
-                if j:
-                    state = np.matmul(prefix, state)
-                pair = self.gate_pair[pos[:, j]]
-                state = (np.take(state.reshape(-1, 2), self.pauli_rows[pair, paulis[:, j]]
-                                 + offsets, axis=0)
-                         * self.pauli_phases[pair, paulis[:, j]][:, :, None])
-                # Back to the initial frame: P_k^dag state = (state^dag P_k)^dag.
-                state = np.matmul(state.conj().transpose(0, 2, 1),
-                                  prefix).conj().transpose(0, 2, 1)
-            v = state[:, :, 1] @ self.overlap.T
-            z[rows] = np.einsum("bi,bi->b", state[:, :, 0].conj(), v)
-        return z
-
-    def sample_p0(self, phase: float, shots: int, rng: np.random.Generator) -> float:
-        """One measurement per trajectory, averaged over `shots` shots."""
-        z = self.branch_overlaps(shots, rng)
-        outcomes = rng.random(shots) < fringe_p0(z, phase)
-        return float(np.mean(outcomes))
+    n = step.n_qubits
+    basis = _pauli_basis(n)
+    decay = np.full(16, 1.0 - 16.0 * p_depol / 15.0)
+    decay[0] = 1.0
+    transfer = np.eye(4 ** n)
+    for gate in step.gates:
+        if gate.kind != "two":
+            raise ValueError("the noise channel expects two-qubit step gates")
+        digits = tuple(bit for q in gate.targets for bit in (2 * q, 2 * q + 1))
+        transfer = _apply_matrix(transfer, decay[:, None] * _pauli_transfer(gate.matrix),
+                                 digits, 2 * n)
+    coherence = np.einsum("i,aij,j->a", phi0.conj(), basis, excitation @ phi0)
+    # Real and imaginary parts apart, so every product stays real: complex
+    # products of this size go to a multithreaded BLAS kernel that runs
+    # hundreds of times slower when the other cores are busy.
+    final = np.linalg.matrix_power(transfer, n_steps) @ np.column_stack(
+        [coherence.real, coherence.imag])
+    readout = np.einsum("aij,ji->a", basis, excitation)
+    return complex(np.vdot(readout, final[:, 0] + 1j * final[:, 1]))

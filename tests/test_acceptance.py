@@ -134,6 +134,28 @@ def test_criterion_4_sampled_mode_accuracy_band():
           f"at >= 85% accuracy for every system ({elapsed:.0f} s)")
 
 
+def test_noisy_seed_survey_failure_share():
+    # Judged over a fixed range of sampler seeds rather than one pinned
+    # seed: at most one of the 180 depolarized runs may fall below the
+    # paper's 85 % accuracy band.
+    start = time.perf_counter()
+    failures = []
+    for name, system, ground, excited, expected, _ in BENCHMARKS:
+        for seed in range(1000, 1030):
+            sampler = SamplerSpec(mode="noisy", shots=5000, p_depol=0.002,
+                                  seed=seed)
+            result = run_estimation(system, ground, excited,
+                                    PriorSpec("gaussian", 0.0, 10.0),
+                                    sampler=sampler)
+            if result.accuracy < 0.85:
+                failures.append((name, seed, result.accuracy))
+    elapsed = time.perf_counter() - start
+    assert len(failures) <= 1, failures
+    assert elapsed < 60.0
+    print(f"PASS noisy seed survey: {len(failures)} of 180 depolarized runs "
+          f"below 85% accuracy ({elapsed:.1f} s)")
+
+
 def test_criterion_5_published_schedule_replay():
     start = time.perf_counter()
     for name, system, ground, excited, schedule, prior, mu_ref, sigma_ref in REPLAYS:

@@ -330,17 +330,26 @@ def test_consecutive_restart_limit_aborts(monkeypatch):
 
 
 def test_failed_fit_aborts_with_diagnostic_trace(monkeypatch):
+    calls = []
+
     def always_fail(x, y, fallback_sigma=None):
+        calls.append(tuple(y))
         return FitResult(mu=0.0, sigma=fallback_sigma or 1.0, amplitude=0.0,
                          offset=0.0, converged=False, residual_norm=0.0)
 
     monkeypatch.setattr(engine, "fit_gaussian", always_fail)
-    result = run_estimation(two_spin_system(1.0), "T", "S",
-                            PriorSpec("gaussian", 0.0, 10.0),
-                            EstimatorConfig(evolution="exact"))
-    assert not result.converged
-    assert len(result.trace) == 1
-    assert not result.trace[0].fit.converged
+    config = EstimatorConfig(evolution="exact")
+    for sampler, fits in ((SamplerSpec(), 1),
+                          (SamplerSpec("shots", 500, seed=4), config.fit_retry_limit)):
+        calls.clear()
+        result = run_estimation(two_spin_system(1.0), "T", "S",
+                                PriorSpec("gaussian", 0.0, 10.0), config, sampler)
+        assert not result.converged
+        assert len(result.trace) == 1
+        assert not result.trace[0].fit.converged
+        # An exact sweep is not retried; shot sweeps retry on fresh draws.
+        assert len(calls) == fits
+        assert len(set(calls)) == fits
 
 
 def test_convergence_flag_matches_threshold():
