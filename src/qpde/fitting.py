@@ -9,9 +9,14 @@ least squares is weighted by p0^2 so the peak region - the part that
 carries the gap information - dominates, which keeps the surrogate width
 near the fringe's curvature width instead of chasing the cosine tails.
 
-Solved by a damped Gauss-Newton iteration (Levenberg-style diagonal
-damping with accept/reject steps) starting from
-(min, max - min, argmax, span/4).
+Solved by projected damped Gauss-Newton from (min, max - min, argmax,
+span/4): a parameter on a bound that the gradient pushes further out -
+typically the amplitude on its cap - is held, one whose step would cross
+a bound is pinned there, and the Levenberg-damped normal equations are
+solved over the rest.  A clamped candidate is kept if it lowers the cost.
+The iteration stops at the constrained minimum, when the clamped step is
+below STEP_ABS in offset and amplitude and STEP_REL of the span in mu and
+sigma, or when 30 damping raises in a row find no lower cost.
 """
 from __future__ import annotations
 
@@ -21,9 +26,10 @@ import numpy as np
 
 AMPLITUDE_MAX = 0.5
 MAX_ITERATIONS = 300
-STEP_TOL = 1e-11
-STAGNATION_REL = 1e-7
-STAGNATION_RUNS = 3
+STEP_REL = 1e-6    # of the sweep span, for mu and sigma
+STEP_ABS = 1e-6    # for offset and amplitude
+LOWER = np.array([0.0, 1e-9, -np.inf, -np.inf])    # offset, amplitude, mu, sigma
+UPPER = np.array([1.0, AMPLITUDE_MAX, np.inf, np.inf])
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,8 @@ class FitResult:
     offset: float
     converged: bool
     residual_norm: float
+    iterations: int = 0        # accepted Gauss-Newton steps
+    reason: str = "converged"  # or flat_data, not_settled, sigma_floor, mean_outside_window
 
     def estimate(self) -> GaussianEstimate:
         return GaussianEstimate(self.mu, self.sigma)
@@ -65,7 +73,8 @@ def multiply_gaussians(prior: GaussianEstimate,
     return GaussianEstimate(mu, float(sigma))
 
 
-def _fallback(x: np.ndarray, y: np.ndarray, fallback_sigma: float) -> FitResult:
+def _fallback(x: np.ndarray, y: np.ndarray, fallback_sigma: float,
+              reason: str, iterations: int = 0) -> FitResult:
     """Probability-weighted centroid of the above-median points."""
     median = float(np.median(y))
     mask = y >= median
@@ -74,19 +83,35 @@ def _fallback(x: np.ndarray, y: np.ndarray, fallback_sigma: float) -> FitResult:
     lo, hi = float(np.min(y)), float(np.max(y))
     return FitResult(mu=mu, sigma=float(fallback_sigma),
                      amplitude=min(hi - lo, AMPLITUDE_MAX), offset=lo,
-                     converged=False,
+                     converged=False, iterations=iterations, reason=reason,
                      residual_norm=float(np.linalg.norm(y - np.mean(y))))
+
+
+def _bounded_step(lhs: np.ndarray, gradient: np.ndarray, theta: np.ndarray,
+                  free: np.ndarray) -> np.ndarray:
+    """Solve lhs @ step = -gradient over `free`; a parameter whose step
+    would cross its bound is pinned there and the others solved again."""
+    step = np.zeros(theta.size)
+    while True:
+        rhs = -(gradient + lhs[:, ~free] @ step[~free])
+        step[free] = np.linalg.solve(lhs[free][:, free], rhs[free])
+        target = np.clip(theta + step, LOWER, UPPER)
+        crossed = free & (target != theta + step)
+        if not crossed.any():
+            return step
+        step[crossed] = target[crossed] - theta[crossed]
+        free = free & ~crossed
 
 
 def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
                  fallback_sigma: float | None = None) -> FitResult:
     """Weighted least-squares Gaussian fit of a sweep.
 
-    Returns converged=False (with the centroid fallback estimate) on
-    degenerate data, when the iteration fails to settle, or when the
-    fitted mean lies more than one sweep span outside the swept window;
-    callers decide what to do with a failed fit.  fallback_sigma defaults
-    to a quarter of the sweep span.
+    Returns converged=False (with the centroid fallback estimate and the
+    reason) on degenerate data, when the iteration fails to settle, when
+    sigma ends on its floor, or when the fitted mean lies more than one
+    sweep span outside the swept window; callers decide what to do with a
+    failed fit.  fallback_sigma defaults to a quarter of the sweep span.
     """
     x = np.asarray(delta_eps, dtype=float)
     y = np.asarray(p0, dtype=float)
@@ -99,19 +124,16 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
         fallback_sigma = span / 4 if span > 0 else 1.0
     lo, hi = float(np.min(y)), float(np.max(y))
     if not np.all(np.isfinite(y)) or hi - lo < 1e-9 or span <= 0:
-        return _fallback(x, y, fallback_sigma)
+        return _fallback(x, y, fallback_sigma, "flat_data")
 
     weights = y ** 2
     sigma_floor = 1e-9 * span
+    step_tol = np.array([STEP_ABS, STEP_ABS, STEP_REL * span, STEP_REL * span])
 
     def clamp(theta: np.ndarray) -> np.ndarray:
-        offset, amplitude, mu, sigma = theta
-        return np.array([
-            min(max(offset, 0.0), 1.0),
-            min(max(amplitude, 1e-9), AMPLITUDE_MAX),
-            mu,
-            max(abs(sigma), sigma_floor),
-        ])
+        theta = np.clip(theta, LOWER, UPPER)
+        theta[3] = max(abs(theta[3]), sigma_floor)
+        return theta
 
     theta = clamp(np.array([lo, hi - lo, x[int(np.argmax(y))], span / 4]))
 
@@ -124,8 +146,8 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
     cost, residual, shape = cost_of(theta)
     damping = 1e-3
     settled = False
-    stagnant = 0
-    for _ in range(MAX_ITERATIONS):
+    iterations = 0
+    while not settled and iterations < MAX_ITERATIONS:
         offset, amplitude, mu, sigma = theta
         jac = np.empty((x.size, 4))
         jac[:, 0] = 1.0
@@ -135,43 +157,37 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
         jw = jac * weights[:, None]
         gradient = jw.T @ residual
         normal = jw.T @ jac
-        accepted = False
+        held = ((theta >= UPPER) & (gradient < 0)) | ((theta <= LOWER) & (gradient > 0))
+        settled = True  # unless a step below lowers the cost
         for _ in range(30):
             lhs = normal + damping * np.diag(np.diag(normal) + 1e-12)
             try:
-                step = np.linalg.solve(lhs, -gradient)
+                step = _bounded_step(lhs, gradient, theta, ~held)
             except np.linalg.LinAlgError:
                 damping *= 10
                 continue
             candidate = clamp(theta + step)
+            if np.all(np.abs(candidate - theta) < step_tol):
+                break  # at the minimum
             cand_cost, cand_residual, cand_shape = cost_of(candidate)
             if cand_cost < cost * (1.0 - 1e-12) - 1e-20:
-                improvement = (cost - cand_cost) / cost
                 theta, cost = candidate, cand_cost
                 residual, shape = cand_residual, cand_shape
                 damping = max(damping / 10, 1e-12)
-                accepted = True
+                iterations += 1
+                settled = False
                 break
             damping *= 10
-        if not accepted:
-            settled = True  # no further improvement possible
-            break
-        if np.max(np.abs(step)) < STEP_TOL:
-            settled = True
-            break
-        # The clamped problem can leave a sloppy ridge where the cost only
-        # creeps; parameters are long stable by then, so call it settled.
-        stagnant = stagnant + 1 if improvement < STAGNATION_REL else 0
-        if stagnant >= STAGNATION_RUNS:
-            settled = True
-            break
 
     offset, amplitude, mu, sigma = theta
     # An almost flat fringe lets the mean run off: a peak more than a span
     # beyond the swept window is not supported by the data.
-    if (not settled or not np.all(np.isfinite(theta)) or sigma <= sigma_floor
-            or not np.min(x) - span <= mu <= np.max(x) + span):
-        return _fallback(x, y, fallback_sigma)
+    reason = ("not_settled" if not settled or not np.all(np.isfinite(theta))
+              else "sigma_floor" if sigma <= sigma_floor
+              else "mean_outside_window" if not np.min(x) - span <= mu <= np.max(x) + span
+              else "converged")
+    if reason != "converged":
+        return _fallback(x, y, fallback_sigma, reason, iterations)
     return FitResult(mu=float(mu), sigma=float(sigma), amplitude=float(amplitude),
-                     offset=float(offset), converged=True,
+                     offset=float(offset), converged=True, iterations=iterations,
                      residual_norm=float(np.sqrt(np.sum(residual ** 2))))

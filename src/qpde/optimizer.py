@@ -1,9 +1,9 @@
-"""Circuit compression passes and cost accounting.
+"""Circuit compression and cost accounting.
 
 The pair-exchange structure of Heisenberg evolution means a product of
 arbitrarily many step gates on a small register collapses to a fixed-size
 block, so the compiled cost of an evolution segment is independent of the
-Trotter step count.  Both passes preserve the whole-register unitary.
+Trotter step count.  The collapse preserves the whole-register unitary.
 """
 from __future__ import annotations
 
@@ -36,23 +36,6 @@ def cost_report(circuit: Circuit) -> CostReport:
         if len(support) == 2:
             two_qubit += 1
     return CostReport(depth, two_qubit, len(circuit.gates))
-
-
-def fuse_same_support(circuit: Circuit) -> Circuit:
-    """Merge consecutive gates that act on an identical ordered qubit set."""
-    fused: list[Gate] = []
-    for gate in circuit.gates:
-        if (fused
-                and fused[-1].kind == gate.kind
-                and fused[-1].targets == gate.targets
-                and fused[-1].control == gate.control):
-            prev = fused.pop()
-            merged = Gate(gate.kind, gate.matrix @ prev.matrix, gate.targets,
-                          control=gate.control)
-            fused.append(merged)
-        else:
-            fused.append(gate)
-    return Circuit(circuit.n_qubits, fused)
 
 
 def collapse_register_block(circuit: Circuit,

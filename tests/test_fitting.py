@@ -2,8 +2,20 @@
 import numpy as np
 import pytest
 
+from qpde import fitting
 from qpde.fitting import (GaussianEstimate, fit_gaussian, gaussian_model,
                           multiply_gaussians)
+
+# Ideal sweep fringes 0.5 (1 + cos((gap - x) t)) on 21 points, whose fit
+# sits on the amplitude cap: (gap, t, window centre, window half width).
+CAPPED_FRINGES = [(2.0, 0.2, 0.0, 10.0), (3.0, 0.4, 2.5, 4.0),
+                  (1.5, 1.0, 1.2, 1.5), (4.5, 2.0, 4.4, 0.8),
+                  (0.7, 3.6, 0.75, 0.45)]
+
+
+def _capped_fringe(gap, t, centre, half_width):
+    x = np.linspace(centre - half_width, centre + half_width, 21)
+    return x, 0.5 * (1.0 + np.cos((gap - x) * t))
 
 
 def test_recovers_exact_gaussian_parameters():
@@ -11,6 +23,8 @@ def test_recovers_exact_gaussian_parameters():
     y = gaussian_model(x, offset=0.5, amplitude=0.5, mu=2.0, sigma=1.0)
     fit = fit_gaussian(x, y)
     assert fit.converged
+    assert fit.reason == "converged"
+    assert fit.iterations > 0
     assert fit.mu == pytest.approx(2.0, abs=1e-6)
     assert fit.sigma == pytest.approx(1.0, abs=1e-6)
     assert fit.amplitude == pytest.approx(0.5, abs=1e-6)
@@ -30,6 +44,8 @@ def test_constant_data_falls_back():
     x = np.linspace(-1.0, 1.0, 11)
     fit = fit_gaussian(x, np.full(11, 0.5), fallback_sigma=3.0)
     assert not fit.converged
+    assert fit.reason == "flat_data"
+    assert fit.iterations == 0
     assert fit.sigma == 3.0
     assert fit.mu == pytest.approx(0.0, abs=1e-12)
 
@@ -40,7 +56,17 @@ def test_far_outside_mean_falls_back():
     x = np.linspace(-1.0, 1.0, 21)
     fit = fit_gaussian(x, 0.5 + 0.01 * x, fallback_sigma=0.5)
     assert not fit.converged
+    assert fit.reason == "mean_outside_window"
     assert -1.0 <= fit.mu <= 1.0
+
+
+def test_unsettled_iteration_falls_back(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+    fit = fit_gaussian(*_capped_fringe(*CAPPED_FRINGES[1]), fallback_sigma=0.7)
+    assert not fit.converged
+    assert fit.reason == "not_settled"
+    assert fit.iterations == 2
+    assert fit.sigma == 0.7
 
 
 def test_fallback_centroid_weights_above_median():
@@ -58,6 +84,33 @@ def test_cosine_sweep_peak_location():
     fit = fit_gaussian(x, y)
     assert fit.converged
     assert fit.mu == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("fringe", CAPPED_FRINGES)
+def test_capped_fringe_fit_reaches_the_weighted_minimum(fringe):
+    # The amplitude sits on its cap; over the free parameters the p0^2
+    # weighted cost must be stationary, not stopped on a creeping ridge.
+    x, y = _capped_fringe(*fringe)
+    fit = fit_gaussian(x, y)
+    assert fit.converged
+    assert fit.amplitude == 0.5
+    span = x[-1] - x[0]
+    peak = fit.amplitude * np.exp(-0.5 * ((x - fit.mu) / fit.sigma) ** 2)
+    residual = fit.offset + peak - y
+    cost = np.sum(y ** 2 * residual ** 2)
+    gradient = 2.0 * np.array([
+        np.sum(y ** 2 * residual),
+        span * np.sum(y ** 2 * residual * peak * (x - fit.mu) / fit.sigma ** 2),
+        span * np.sum(y ** 2 * residual * peak * (x - fit.mu) ** 2 / fit.sigma ** 3),
+    ])
+    assert np.max(np.abs(gradient)) / cost < 1e-2
+
+
+@pytest.mark.parametrize("fringe", CAPPED_FRINGES)
+def test_capped_fringe_fit_settles_in_few_steps(fringe):
+    fit = fit_gaussian(*_capped_fringe(*fringe))
+    assert fit.reason == "converged"
+    assert fit.iterations <= 25
 
 
 def test_needs_five_points():

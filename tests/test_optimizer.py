@@ -2,44 +2,10 @@
 import numpy as np
 import pytest
 
-from qpde.evolution import TrotterPlan, exact_evolution, pair_term_unitary, trotter_circuit
-from qpde.optimizer import collapse_register_block, cost_report, fuse_same_support
-from qpde.spin import linear_chain, two_spin_system
+from qpde.evolution import TrotterPlan, exact_evolution, trotter_circuit
+from qpde.optimizer import collapse_register_block, cost_report
+from qpde.spin import linear_chain
 from qpde.statevector import Circuit, Gate, circuit_unitary
-
-
-def test_fuse_merges_equal_support_runs():
-    gate_a = Gate.two(0, 1, pair_term_unitary(1.0, 0.3))
-    fused = fuse_same_support(Circuit(2, [gate_a, gate_a]))
-    assert len(fused.gates) == 1
-    assert np.allclose(fused.gates[0].matrix, pair_term_unitary(1.0, 0.6), atol=1e-12)
-
-
-def test_fuse_collapses_two_spin_chain_to_single_gate():
-    circuit = trotter_circuit(two_spin_system(1.0), TrotterPlan(2.4, 50))
-    fused = fuse_same_support(circuit)
-    assert len(fused.gates) == 1
-    assert cost_report(fused).two_qubit_count == 1
-
-
-def test_fuse_empty_circuit():
-    fused = fuse_same_support(Circuit(3, []))
-    assert fused.gates == []
-
-
-def test_fuse_preserves_unitary_and_is_idempotent():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        gates = []
-        for _ in range(15):
-            i, j = sorted(rng.choice(3, size=2, replace=False).tolist())
-            gates.append(Gate.two(i, j, pair_term_unitary(rng.uniform(-2, 2),
-                                                          rng.uniform(0, 1))))
-        circuit = Circuit(3, gates)
-        fused = fuse_same_support(circuit)
-        assert np.max(np.abs(circuit_unitary(fused) - circuit_unitary(circuit))) <= 1e-10
-        twice = fuse_same_support(fused)
-        assert len(twice.gates) == len(fused.gates)
 
 
 def test_collapse_identity_circuit():
