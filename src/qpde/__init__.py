@@ -8,7 +8,6 @@ from .engine import (EstimationResult, EstimatorConfig, IterationRecord,
                      qpde_p0, run_estimation, sweep)
 from .evolution import TrotterPlan, exact_evolution, pair_term_unitary, trotter_circuit
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
-from .linalg import hermitian_eigendecomposition
 from .optimizer import CostReport, collapse_register_block, cost_report
 from .sampling import (SamplerSpec, depolarized_overlap, derived_rng,
                        noisy_trajectory_p0, sample_p0)

@@ -52,16 +52,30 @@ def _resolve_config_path(spec: str) -> Path:
                       f"name (available: {', '.join(bundled_config_names())})")
 
 
+def _typed(value, kind, where: str):
+    """value if it has JSON type kind; a float field also takes an int, and
+    a bool is never a number."""
+    widened = kind is float and isinstance(value, int)
+    if isinstance(value, bool) or not (widened or isinstance(value, kind)):
+        raise ConfigError(f"{where}: expected {kind.__name__}, "
+                          f"got {type(value).__name__}")
+    return float(value) if widened else value
+
+
 def _require(mapping: dict, key: str, kind, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}.{key}: missing required field")
-    value = mapping[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, "
-                          f"got {type(value).__name__}")
-    return value
+    return _typed(mapping[key], kind, f"{where}.{key}")
+
+
+def _known_fields(cls, raw: dict, where: str) -> dict:
+    """raw's entries, each a field of dataclass cls with its default's type."""
+    fields = cls.__dataclass_fields__
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"{where}.{key}: unknown field")
+    return {key: _typed(value, type(fields[key].default), f"{where}.{key}")
+            for key, value in raw.items()}
 
 
 def parse_config(raw: dict) -> dict:
@@ -71,13 +85,13 @@ def parse_config(raw: dict) -> dict:
 
     system_raw = _require(raw, "system", dict, "config")
     n_spins = _require(system_raw, "n_spins", int, "system")
-    couplings_raw = _require(system_raw, "couplings", list, "system")
     couplings = []
-    for idx, entry in enumerate(couplings_raw):
-        if (not isinstance(entry, list) or len(entry) != 3
-                or not all(isinstance(v, (int, float)) for v in entry)):
-            raise ConfigError(f"system.couplings[{idx}]: expected [i, j, J]")
-        couplings.append((int(entry[0]), int(entry[1]), float(entry[2])))
+    for idx, entry in enumerate(_require(system_raw, "couplings", list, "system")):
+        where = f"system.couplings[{idx}]"
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ConfigError(f"{where}: expected [i, j, J]")
+        couplings.append((_typed(entry[0], int, where), _typed(entry[1], int, where),
+                          _typed(entry[2], float, where)))
     try:
         system = SpinSystem(n_spins, tuple(couplings))
     except ValueError as exc:
@@ -103,38 +117,29 @@ def parse_config(raw: dict) -> dict:
     except ValueError as exc:
         raise ConfigError(f"prior: {exc}") from exc
 
-    est_raw = dict(raw.get("estimator", {}))
+    est_raw = dict(_typed(raw.get("estimator", {}), dict, "config.estimator"))
     schedule = est_raw.pop("explicit_schedule", None)
     if schedule is not None:
         parsed = []
-        for idx, entry in enumerate(schedule):
+        for idx, entry in enumerate(_typed(schedule, list, "estimator.explicit_schedule")):
+            where = f"estimator.explicit_schedule[{idx}]"
             if not isinstance(entry, list) or len(entry) != 2:
-                raise ConfigError(f"estimator.explicit_schedule[{idx}]: "
-                                  f"expected [t, n_steps]")
-            parsed.append((float(entry[0]), int(entry[1])))
+                raise ConfigError(f"{where}: expected [t, n_steps]")
+            parsed.append((_typed(entry[0], float, where), _typed(entry[1], int, where)))
         schedule = tuple(parsed)
-    known = {f for f in EstimatorConfig.__dataclass_fields__}
-    for key in est_raw:
-        if key not in known:
-            raise ConfigError(f"estimator.{key}: unknown field")
     try:
-        estimator = EstimatorConfig(explicit_schedule=schedule, **est_raw)
-    except (TypeError, ValueError) as exc:
+        estimator = EstimatorConfig(explicit_schedule=schedule,
+                                    **_known_fields(EstimatorConfig, est_raw, "estimator"))
+    except ValueError as exc:
         raise ConfigError(f"estimator: {exc}") from exc
 
-    sampler_raw = dict(raw.get("sampler", {}))
-    known = {f for f in SamplerSpec.__dataclass_fields__}
-    for key in sampler_raw:
-        if key not in known:
-            raise ConfigError(f"sampler.{key}: unknown field")
+    sampler_raw = _typed(raw.get("sampler", {}), dict, "config.sampler")
     try:
-        sampler = SamplerSpec(**sampler_raw)
-    except (TypeError, ValueError) as exc:
+        sampler = SamplerSpec(**_known_fields(SamplerSpec, sampler_raw, "sampler"))
+    except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from exc
 
-    output_dir = raw.get("output_dir", "runs/qpde")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir: expected string path")
+    output_dir = _typed(raw.get("output_dir", "runs/qpde"), str, "output_dir")
 
     return {"system": system, "ground_label": ground, "excited_label": excited,
             "prior": prior, "estimator": estimator, "sampler": sampler,

@@ -1,10 +1,16 @@
 """Exact and Trotterized time evolution under Heisenberg Hamiltonians.
 
+With S_i . S_j = SWAP_ij / 2 - 1/4, one coupling term -2J (S_i . S_j) is
+J/2 - J SWAP_ij, so its exponential is a SWAP rotation in closed form:
+
+    exp(-i h dt) = e^{-iJ dt/2} (cos(J dt) I + i sin(J dt) SWAP).
+
 A first-order product formula splits exp(-iHt) into n_steps repetitions
-of the per-coupling pair exponentials, applied in a fixed (i, j) order so
-runs are reproducible (the first-order error depends on term order).
-Each pair factor is exact, so the circuit is unitary for any step count,
-and for a single-coupling system one step is already the exact evolution.
+of these pair gates, applied in a fixed (i, j) order so runs are
+reproducible (the first-order error depends on term order).  Each pair
+factor is exact, so the circuit is unitary for any step count, and for a
+single-coupling system one step is already the exact evolution.  The
+exact propagator comes from the cached spectrum in `spin`.
 """
 from __future__ import annotations
 
@@ -12,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigendecomposition
-from .spin import SPIN_X, SPIN_Y, SPIN_Z, SpinSystem, system_eigensystem
+from .spin import SpinSystem, system_eigensystem
 from .statevector import Circuit, Gate
+
+#: Two-qubit SWAP in the (|00>, |01>, |10>, |11>) basis.
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 @dataclass(frozen=True)
@@ -31,23 +39,10 @@ class TrotterPlan:
             raise ValueError("evolution time must be non-negative")
 
 
-def pair_hamiltonian(strength: float) -> np.ndarray:
-    """Two-site term -2J (S_i . S_j) as a 4x4 matrix."""
-    h = np.zeros((4, 4), dtype=complex)
-    for op in (SPIN_X, SPIN_Y, SPIN_Z):
-        h -= 2.0 * strength * np.kron(op, op)
-    return h
-
-
 def pair_term_unitary(strength: float, dt: float) -> np.ndarray:
-    """exp(-i h dt) for one coupling term, via spectral decomposition.
-
-    The term's eigenvalues are -J/2 on the triplet sector and +3J/2 on
-    the singlet, so the gate is a pure two-sector phase.
-    """
-    values, vectors = hermitian_eigendecomposition(pair_hamiltonian(strength))
-    phases = np.exp(-1j * values * dt)
-    return (vectors * phases) @ vectors.conj().T
+    """exp(-i h dt) for one coupling term h = -2J (S_i . S_j)."""
+    angle = strength * dt
+    return np.exp(-0.5j * angle) * (np.cos(angle) * np.eye(4) + 1j * np.sin(angle) * SWAP)
 
 
 def trotter_circuit(system: SpinSystem, plan: TrotterPlan) -> Circuit:

@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import hermitian_eigendecomposition
 from .statevector import Statevector
 
 # Single-site spin operators (hbar = 1).
@@ -302,13 +301,21 @@ def to_spin_eigenbasis(hamiltonian: np.ndarray, basis: list[SpinEigenfunction]) 
     return v.T @ hamiltonian @ v
 
 
+#: Eigenvalues closer than this form one degenerate eigenspace.
+DEGENERACY_ATOL = 1e-9
+
+
 @dataclass
 class SpectrumReport:
     """Exact diagonalization summary with named-state assignments.
 
-    assignments maps a state label to (eigenstate index, energy,
-    squared overlap); ties in the overlap criterion are broken toward the
-    lowest index, i.e. the lowest energy.
+    assignments maps a state label to (eigenstate index, energy, weight).
+    Eigenvalues within DEGENERACY_ATOL are grouped into eigenspaces, and a
+    state is assigned to the eigenspace holding the largest share of its
+    weight, ties going to the lower energy.  The index is the eigenspace's
+    first (lowest) eigenvector index and the weight is the squared norm of
+    the state's projection onto the whole eigenspace, so neither depends
+    on the basis the eigensolver picks inside a degenerate eigenspace.
     """
 
     eigenvalues: np.ndarray
@@ -319,28 +326,33 @@ class SpectrumReport:
 
 @lru_cache(maxsize=512)
 def _eigensystem(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
-    values, vectors = hermitian_eigendecomposition(build_hamiltonian(system))
+    values, vectors = np.linalg.eigh(build_hamiltonian(system))
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors
 
 
 def system_eigensystem(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Cached exact diagonalization of the system Hamiltonian."""
+    """Cached exact diagonalization of the system Hamiltonian: ascending
+    eigenvalues and the eigenvectors as columns."""
     return _eigensystem(system)
 
 
 def _assign(values: np.ndarray, vectors: np.ndarray,
             state: SpinEigenfunction) -> tuple[int, float, float]:
-    overlaps = np.abs(vectors.conj().T @ state.coefficients.astype(complex)) ** 2
-    best = int(np.argmax(overlaps > np.max(overlaps) - 1e-12))
-    return best, float(values[best]), float(overlaps[best])
+    weights = np.abs(vectors.T @ state.coefficients) ** 2
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > DEGENERACY_ATOL)
+    shares = np.add.reduceat(weights, starts)
+    best = int(np.argmax(shares > np.max(shares) - 1e-12))
+    first = int(starts[best])
+    return first, float(values[first]), float(shares[best])
 
 
 def exact_gap(system: SpinSystem, ground_label: str,
               excited_label: str) -> tuple[SpectrumReport, float]:
-    """Reference energy difference between the eigenstates that the named
-    preparation states approximate (largest-squared-overlap assignment)."""
+    """Reference energy difference between the eigenspaces that the named
+    preparation states select (largest-weight assignment, see
+    SpectrumReport)."""
     values, vectors = system_eigensystem(system)
     report = SpectrumReport(values, vectors, {}, {})
     for label in (ground_label, excited_label):

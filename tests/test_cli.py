@@ -78,6 +78,32 @@ def test_invalid_label_exits_one(tmp_path, capsys):
     assert "excited_label" in err
 
 
+@pytest.mark.parametrize("section, key, value, field", [
+    ("estimator", "explicit_schedule", [["a", 3]], "estimator.explicit_schedule[0]"),
+    ("estimator", "grid_points", 21.5, "estimator.grid_points"),
+    ("system", "couplings", [[1, 2, True]], "system.couplings[0]"),
+    ("sampler", "shots", 50.5, "sampler.shots"),
+], ids=["string_schedule_time", "fractional_grid_points", "bool_coupling",
+        "fractional_shots"])
+def test_wrong_json_type_is_a_config_error(tmp_path, capsys, section, key, value, field):
+    out = tmp_path / "out"
+    config = {
+        "system": {"n_spins": 2, "couplings": [[1, 2, 1.0]]},
+        "ground_label": "T", "excited_label": "S",
+        "prior": {"shape": "gaussian", "mu": 0.0, "sigma": 10.0},
+        "sampler": {"mode": "shots"},
+        "output_dir": str(out),
+    }
+    config.setdefault(section, {})[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(path)) == 1
+    err = capsys.readouterr().err
+    assert f"{field}: expected" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"system": \n  oops}')

@@ -2,9 +2,8 @@
 import numpy as np
 import pytest
 
-from qpde.evolution import (TrotterPlan, exact_evolution, pair_hamiltonian,
-                            pair_term_unitary, trotter_circuit)
-from qpde.spin import linear_chain, named_state, triangle, two_spin_system
+from qpde.evolution import TrotterPlan, exact_evolution, pair_term_unitary, trotter_circuit
+from qpde.spin import build_hamiltonian, linear_chain, named_state, triangle, two_spin_system
 from qpde.statevector import circuit_unitary
 
 
@@ -33,7 +32,7 @@ def test_pair_unitary_matches_expm_oracle():
     rng = np.random.default_rng(4)
     for _ in range(10):
         strength, dt = rng.uniform(-2, 2), rng.uniform(0, 3)
-        h = pair_hamiltonian(strength)
+        h = build_hamiltonian(two_spin_system(strength))
         expected = np.eye(4, dtype=complex)
         term = np.eye(4, dtype=complex)
         for k in range(1, 60):

@@ -1,67 +1,14 @@
-"""Eigensolver checks against closed forms and the LAPACK reference."""
+"""Exact-diagonalization spectra of the paper's systems against closed forms."""
 import numpy as np
-import pytest
 
-from qpde.linalg import hermitian_eigendecomposition
-from qpde.spin import build_hamiltonian, triangle, two_spin_system
-
-
-def test_diagonal_matrix_is_returned_sorted():
-    values, vectors = hermitian_eigendecomposition(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(values, [1.0, 2.0, 3.0])
-    # Eigenvectors are the (permuted) standard basis.
-    assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
+from qpde.spin import system_eigensystem, triangle, two_spin_system
 
 
 def test_two_spin_hamiltonian_spectrum():
-    values, _ = hermitian_eigendecomposition(build_hamiltonian(two_spin_system(1.0)))
+    values, _ = system_eigensystem(two_spin_system(1.0))
     assert np.allclose(values, [-0.5, -0.5, -0.5, 1.5], atol=1e-12)
 
 
 def test_frustrated_triangle_spectrum():
-    values, _ = hermitian_eigendecomposition(build_hamiltonian(triangle(1, 1, 1)))
+    values, _ = system_eigensystem(triangle(1, 1, 1))
     assert np.allclose(values, [-1.5] * 4 + [1.5] * 4, atol=1e-12)
-
-
-def test_random_hermitian_reconstruction():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        raw = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        h = (raw + raw.conj().T) / 2
-        values, vectors = hermitian_eigendecomposition(h)
-        assert np.max(np.abs(h - (vectors * values) @ vectors.conj().T)) <= 1e-9
-        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(16))) <= 1e-10
-        assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-10
-        assert np.all(np.diff(values) >= -1e-14)
-
-
-def test_matches_lapack_eigenvalues():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = int(rng.integers(2, 13))
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = (raw + raw.conj().T) / 2
-        values, _ = hermitian_eigendecomposition(h)
-        assert np.allclose(values, np.linalg.eigvalsh(h), atol=1e-11)
-
-
-def test_degenerate_spectrum_still_orthonormal():
-    rng = np.random.default_rng(3)
-    raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    q, _ = np.linalg.qr(raw)
-    target = np.repeat([-1.0, 0.5, 0.5, 2.0], 2)
-    h = (q * target) @ q.conj().T
-    h = (h + h.conj().T) / 2
-    values, vectors = hermitian_eigendecomposition(h)
-    assert np.allclose(values, np.sort(target), atol=1e-10)
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(8))) <= 1e-10
-
-
-def test_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_rejects_oversize():
-    with pytest.raises(ValueError, match="dimension"):
-        hermitian_eigendecomposition(np.eye(65))

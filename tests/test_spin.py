@@ -9,7 +9,8 @@ import pytest
 from qpde.spin import (SpinEigenfunction, SpinSystem, build_hamiltonian,
                        exact_gap, linear_chain, named_state, spin_eigenbasis,
                        spin_eigenfunction, spin_squared, spin_z,
-                       to_spin_eigenbasis, triangle, two_spin_system)
+                       system_eigensystem, to_spin_eigenbasis, triangle,
+                       two_spin_system)
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -281,6 +282,9 @@ def test_exact_gap_assignment_reported():
     assert energy_q == pytest.approx(-1.5, abs=1e-12)
     assert gap == pytest.approx(3.0, abs=1e-12)
     assert report.labeled_gaps[("Q", "D2")] == pytest.approx(3.0, abs=1e-12)
+    # D2 is an exact eigenstate of the frustrated triangle, inside a
+    # degenerate doublet: its whole weight lies in that eigenspace.
+    assert report.assignments["D2"][2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_gap_invariant_under_spin_relabeling():
@@ -291,12 +295,52 @@ def test_exact_gap_invariant_under_spin_relabeling():
 
 
 def test_degenerate_overlap_ties_break_to_lowest_index():
-    # With zero couplings every state is degenerate; |T> overlaps the
-    # computational eigenvectors |01> and |10> equally, and the lower
-    # index wins.
+    # With zero couplings the whole spectrum is one eigenspace: |T> goes to
+    # its first index with its full weight, whatever basis eigh returns.
     report, gap = exact_gap(SpinSystem(2, ()), "T", "S")
-    assert report.assignments["T"][0] == 1
+    assert report.assignments["T"] == (0, pytest.approx(0.0, abs=1e-15),
+                                       pytest.approx(1.0, abs=1e-12))
     assert gap == pytest.approx(0.0, abs=1e-15)
+    # |D2> is the (1, 3) singlet times spin 2, with energy 3 j13 / 2, and
+    # |D1> then has sum(J) - 3 j13 / 2.  With j12 + j23 = 2 j13 the two are
+    # equal, so |D2> splits equally over the doublet eigenspaces at
+    # sum(J)/2 -+ sqrt(3)/2; the lower one (first index 4, after the
+    # quartet) wins.
+    report, gap = exact_gap(triangle(1.5, 0.5, 1.0), "Q", "D2")
+    index, energy, weight = report.assignments["D2"]
+    assert index == 4
+    assert energy == pytest.approx(1.5 - SQRT3 / 2, abs=1e-12)
+    assert weight == pytest.approx(0.5, abs=1e-12)
+    assert gap == pytest.approx(3.0 - SQRT3 / 2, abs=1e-12)
+
+
+def closed_form_spectrum(n_spins, j12, j23=0.0, j13=0.0):
+    """Sorted spectrum from the total-spin sectors: two spins have the
+    triplet at -J/2 and the singlet at 3J/2; three spins have the quartet
+    at -sum(J)/2 and the two doublets at sum(J)/2 -+ R."""
+    if n_spins == 2:
+        return np.sort([-j12 / 2] * 3 + [1.5 * j12])
+    total = j12 + j23 + j13
+    radius = np.sqrt(j12 ** 2 + j23 ** 2 + j13 ** 2 - j12 * j23 - j23 * j13 - j13 * j12)
+    return np.sort([-total / 2] * 4 + [total / 2 - radius] * 2 + [total / 2 + radius] * 2)
+
+
+def test_system_eigensystem_matches_closed_form_spectrum():
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        j12, j23, j13 = (float(j) for j in rng.uniform(-2, 2, size=3))
+        if case % 3 == 0:
+            system, expected = two_spin_system(j12), closed_form_spectrum(2, j12)
+        elif case % 3 == 1:
+            system, expected = linear_chain(j12, j23), closed_form_spectrum(3, j12, j23)
+        else:
+            system = triangle(j12, j23, j13)
+            expected = closed_form_spectrum(3, j12, j23, j13)
+        values, vectors = system_eigensystem(system)
+        assert np.max(np.abs(values - expected)) <= 1e-12
+        h = build_hamiltonian(system)
+        assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-12
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(values.size))) <= 1e-12
 
 
 def test_eigenfunction_normalization_validated():
