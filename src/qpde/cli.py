@@ -191,9 +191,13 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
             try:
                 sampler = replace(sampler, shots=int(args.shots))
             except ValueError as exc:
-                raise ConfigError(f"--shots: expected integer or 'exact'") from exc
+                raise ConfigError(f"--shots: expected a positive integer or 'exact', "
+                                  f"got {args.shots!r}") from exc
     if args.mode is not None:
         sampler = replace(sampler, mode=args.mode)
+    if sampler.mode == "noisy" and cfg["estimator"].evolution != "trotter":
+        raise ConfigError(f"{'--mode' if args.mode else 'sampler.mode'}: noisy sampling "
+                          f"requires estimator.evolution 'trotter'")
     cfg["sampler"] = sampler
     if args.out is not None:
         cfg["output_dir"] = args.out
@@ -206,10 +210,10 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"--schedule: bad entry {chunk!r}, "
                                   f"expected T:N") from exc
-        cfg["estimator"] = EstimatorConfig(
-            **{**{name: getattr(cfg["estimator"], name)
-                  for name in EstimatorConfig.__dataclass_fields__},
-               "explicit_schedule": tuple(entries)})
+        try:
+            cfg["estimator"] = replace(cfg["estimator"], explicit_schedule=tuple(entries))
+        except ValueError as exc:
+            raise ConfigError(f"--schedule: {exc}") from exc
     return cfg
 
 
@@ -243,8 +247,8 @@ def _write_optimizer_csv(path: Path, system: SpinSystem, pairs):
                          "pre_gate_count", "post_depth", "post_two_qubit_count",
                          "post_gate_count"])
         for t, n_steps in pairs:
-            circuit = trotter_circuit(system, TrotterPlan(t, n_steps))
-            pre = cost_report(circuit)
+            pre = cost_report(trotter_circuit(system, TrotterPlan(t / n_steps, 1)),
+                              repeats=n_steps)
             # The collapsed circuit is the one register block the run evolves with.
             block = _evolution_gate(system, t, "trotter", n_steps)
             post = cost_report(Circuit(system.n_spins, [block]))

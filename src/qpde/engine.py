@@ -20,8 +20,8 @@ mixture formula; both are independent references for the fringe.
 Shots mode draws one binomial count per grid point from the fringe.
 Noisy mode draws it from the depolarized fringe instead: its mean overlap
 E[z] is computed exactly by `sampling.depolarized_overlap`, once per
-(t, n_steps), from the same one-step Trotter circuit the evolution block
-is built from.
+(t, n_steps), from the gate form of the one-step Trotter block that the
+ideal evolution raises to the n_steps power.
 
 The estimation loop keeps a Gaussian belief over the gap.  Each iteration
 sweeps delta_eps across the prior's +-1 sigma window, fits a Gaussian
@@ -42,9 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .evolution import TrotterPlan, exact_evolution, trotter_circuit
+from .evolution import TrotterPlan, exact_evolution, trotter_circuit, trotter_step_unitary
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
-from .optimizer import collapse_register_block
 from .sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
                        sample_p0)
 from .spin import SpinSystem, exact_gap, named_state
@@ -159,13 +158,9 @@ def _evolution_gate(system: SpinSystem, t: float, evolution: str,
     if evolution == "trotter":
         if n_steps is None:
             raise ValueError("trotter evolution requires n_steps")
-        # Same register block collapse_register_block would produce, but
-        # built as a matrix power of the single-step unitary.  The power
-        # multiplies the step's rounding error by n_steps; its polar factor
-        # is the nearest unitary.
-        one_step = collapse_register_block(
-            trotter_circuit(system, TrotterPlan(t / n_steps, 1)),
-            max_qubits=system.n_spins).gates[0].matrix
+        # The power multiplies the step's rounding error by n_steps; its
+        # polar factor is the nearest unitary.
+        one_step = trotter_step_unitary(system, t / n_steps)
         w, _, vh = np.linalg.svd(np.linalg.matrix_power(one_step, n_steps))
         return Gate.register(targets, w @ vh)
     raise ValueError(f"evolution mode {evolution!r} not recognized")

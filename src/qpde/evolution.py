@@ -1,15 +1,19 @@
 """Exact and Trotterized time evolution under Heisenberg Hamiltonians.
 
-With S_i . S_j = SWAP_ij / 2 - 1/4, one coupling term -2J (S_i . S_j) is
-J/2 - J SWAP_ij, so its exponential is a SWAP rotation in closed form:
+With S_i . S_j = P_ij / 2 - 1/4, where the exchange operator P_ij swaps
+spins i and j, one coupling term -2J (S_i . S_j) is J/2 - J P_ij, so its
+exponential is an exchange rotation in closed form:
 
-    exp(-i h dt) = e^{-iJ dt/2} (cos(J dt) I + i sin(J dt) SWAP).
+    exp(-i h dt) = e^{-iJ dt/2} (cos(J dt) I + i sin(J dt) P_ij).
 
 A first-order product formula splits exp(-iHt) into n_steps repetitions
-of these pair gates, applied in a fixed (i, j) order so runs are
+of these pair factors, applied in a fixed (i, j) order so runs are
 reproducible (the first-order error depends on term order).  Each pair
-factor is exact, so the circuit is unitary for any step count, and for a
-single-coupling system one step is already the exact evolution.  The
+factor is exact, so every step is unitary, and for a single-coupling
+system one step is already the exact evolution.  `trotter_step_unitary`
+is one step as a dense register matrix, the block the estimation raises
+to the n_steps power; `trotter_circuit` lays the same factors out as
+two-qubit gates for the noise channel and for device-cost counts.  The
 exact propagator comes from the cached spectrum in `spin`.
 """
 from __future__ import annotations
@@ -18,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinSystem, system_eigensystem
+from .spin import SpinSystem, exchange_operator, system_eigensystem
 from .statevector import Circuit, Gate
 
 #: Two-qubit SWAP in the (|00>, |01>, |10>, |11>) basis.
-SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+SWAP = exchange_operator(2, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -39,10 +43,24 @@ class TrotterPlan:
             raise ValueError("evolution time must be non-negative")
 
 
+def _exchange_rotation(angle: float, exchange: np.ndarray) -> np.ndarray:
+    return (np.exp(-0.5j * angle)
+            * (np.cos(angle) * np.eye(len(exchange)) + 1j * np.sin(angle) * exchange))
+
+
 def pair_term_unitary(strength: float, dt: float) -> np.ndarray:
     """exp(-i h dt) for one coupling term h = -2J (S_i . S_j)."""
-    angle = strength * dt
-    return np.exp(-0.5j * angle) * (np.cos(angle) * np.eye(4) + 1j * np.sin(angle) * SWAP)
+    return _exchange_rotation(strength * dt, SWAP)
+
+
+def trotter_step_unitary(system: SpinSystem, dt: float) -> np.ndarray:
+    """Whole-register unitary of one product-formula step: the pair factors
+    in (i, j) order, the same matrix `trotter_circuit` builds gate by gate."""
+    step = np.eye(system.dim, dtype=complex)
+    for i, j, strength in sorted(system.couplings):
+        step = _exchange_rotation(strength * dt,
+                                  exchange_operator(system.n_spins, i, j)) @ step
+    return step
 
 
 def trotter_circuit(system: SpinSystem, plan: TrotterPlan) -> Circuit:

@@ -16,10 +16,15 @@ a bound is pinned there, and the Levenberg-damped normal equations are
 solved over the rest.  A clamped candidate is kept if it lowers the cost.
 The iteration stops at the constrained minimum, when the clamped step is
 below STEP_ABS in offset and amplitude and STEP_REL of the span in mu and
-sigma, or when 30 damping raises in a row find no lower cost.
+sigma, or when 30 damping raises in a row find no lower cost.  Numpy
+computes the residual, Jacobian and normal products over the sweep; the
+4-parameter algebra (held set, damping, pinning, clamp, step test) runs on
+Python floats, where numpy's dispatch would cost more than the arithmetic,
+and only the solve over the free parameters calls LAPACK.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +33,8 @@ AMPLITUDE_MAX = 0.5
 MAX_ITERATIONS = 300
 STEP_REL = 1e-6    # of the sweep span, for mu and sigma
 STEP_ABS = 1e-6    # for offset and amplitude
-LOWER = np.array([0.0, 1e-9, -np.inf, -np.inf])    # offset, amplitude, mu, sigma
-UPPER = np.array([1.0, AMPLITUDE_MAX, np.inf, np.inf])
+LOWER = (0.0, 1e-9, -math.inf, -math.inf)    # offset, amplitude, mu, sigma
+UPPER = (1.0, AMPLITUDE_MAX, math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -87,20 +92,25 @@ def _fallback(x: np.ndarray, y: np.ndarray, fallback_sigma: float,
                      residual_norm=float(np.linalg.norm(y - np.mean(y))))
 
 
-def _bounded_step(lhs: np.ndarray, gradient: np.ndarray, theta: np.ndarray,
-                  free: np.ndarray) -> np.ndarray:
+def _bounded_step(lhs: list, gradient: list, theta: list, free: list) -> list:
     """Solve lhs @ step = -gradient over `free`; a parameter whose step
     would cross its bound is pinned there and the others solved again."""
-    step = np.zeros(theta.size)
+    step, free = [0.0] * len(theta), list(free)
     while True:
-        rhs = -(gradient + lhs[:, ~free] @ step[~free])
-        step[free] = np.linalg.solve(lhs[free][:, free], rhs[free])
-        target = np.clip(theta + step, LOWER, UPPER)
-        crossed = free & (target != theta + step)
-        if not crossed.any():
+        rows = [k for k, is_free in enumerate(free) if is_free]
+        rhs = [-(gradient[r] + sum([lhs[r][c] * step[c]
+                                    for c, is_free in enumerate(free) if not is_free]))
+               for r in rows]
+        solution = np.linalg.solve([[lhs[r][c] for c in rows] for r in rows], rhs)
+        crossed = False
+        for k, value in zip(rows, solution.tolist()):
+            target = min(max(theta[k] + value, LOWER[k]), UPPER[k])
+            if target == theta[k] + value:
+                step[k] = value
+            else:
+                step[k], free[k], crossed = target - theta[k], False, True
+        if not crossed:
             return step
-        step[crossed] = target[crossed] - theta[crossed]
-        free = free & ~crossed
 
 
 def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
@@ -128,16 +138,16 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
 
     weights = y ** 2
     sigma_floor = 1e-9 * span
-    step_tol = np.array([STEP_ABS, STEP_ABS, STEP_REL * span, STEP_REL * span])
+    step_tol = (STEP_ABS, STEP_ABS, STEP_REL * span, STEP_REL * span)
 
-    def clamp(theta: np.ndarray) -> np.ndarray:
-        theta = np.clip(theta, LOWER, UPPER)
-        theta[3] = max(abs(theta[3]), sigma_floor)
-        return theta
+    def clamp(theta: list) -> list:
+        offset, amplitude, mu, sigma = (min(max(value, lower), upper)
+                                        for value, lower, upper in zip(theta, LOWER, UPPER))
+        return [offset, amplitude, mu, max(abs(sigma), sigma_floor)]
 
-    theta = clamp(np.array([lo, hi - lo, x[int(np.argmax(y))], span / 4]))
+    theta = clamp([lo, hi - lo, float(x[int(np.argmax(y))]), span / 4])
 
-    def cost_of(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def cost_of(theta: list) -> tuple[float, np.ndarray, np.ndarray]:
         offset, amplitude, mu, sigma = theta
         shape = np.exp(-0.5 * ((x - mu) / sigma) ** 2)
         residual = offset + amplitude * shape - y
@@ -155,19 +165,22 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
         jac[:, 2] = amplitude * shape * (x - mu) / sigma ** 2
         jac[:, 3] = amplitude * shape * (x - mu) ** 2 / sigma ** 3
         jw = jac * weights[:, None]
-        gradient = jw.T @ residual
-        normal = jw.T @ jac
-        held = ((theta >= UPPER) & (gradient < 0)) | ((theta <= LOWER) & (gradient > 0))
+        gradient = (jw.T @ residual).tolist()
+        normal = (jw.T @ jac).tolist()
+        free = [not (value >= upper and slope < 0 or value <= lower and slope > 0)
+                for value, slope, lower, upper in zip(theta, gradient, LOWER, UPPER)]
         settled = True  # unless a step below lowers the cost
         for _ in range(30):
-            lhs = normal + damping * np.diag(np.diag(normal) + 1e-12)
+            lhs = [[value + damping * (value + 1e-12) if r == c else value
+                    for c, value in enumerate(row)] for r, row in enumerate(normal)]
             try:
-                step = _bounded_step(lhs, gradient, theta, ~held)
+                step = _bounded_step(lhs, gradient, theta, free)
             except np.linalg.LinAlgError:
                 damping *= 10
                 continue
-            candidate = clamp(theta + step)
-            if np.all(np.abs(candidate - theta) < step_tol):
+            candidate = clamp([value + delta for value, delta in zip(theta, step)])
+            if all(abs(new - old) < tol
+                   for new, old, tol in zip(candidate, theta, step_tol)):
                 break  # at the minimum
             cand_cost, cand_residual, cand_shape = cost_of(candidate)
             if cand_cost < cost * (1.0 - 1e-12) - 1e-20:
@@ -182,7 +195,7 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
     offset, amplitude, mu, sigma = theta
     # An almost flat fringe lets the mean run off: a peak more than a span
     # beyond the swept window is not supported by the data.
-    reason = ("not_settled" if not settled or not np.all(np.isfinite(theta))
+    reason = ("not_settled" if not settled or not all(map(math.isfinite, theta))
               else "sigma_floor" if sigma <= sigma_floor
               else "mean_outside_window" if not np.min(x) - span <= mu <= np.max(x) + span
               else "converged")

@@ -23,19 +23,27 @@ class CostReport:
     gate_count: int
 
 
-def cost_report(circuit: Circuit) -> CostReport:
+def cost_report(circuit: Circuit, repeats: int = 1) -> CostReport:
+    """Cost of `repeats` back-to-back copies of the circuit, walked on the
+    gates' qubit supports.  Once a copy deepens every qubit it touches by
+    the same amount, each later copy does too, so the walk stops there."""
+    supports = [gate.support for gate in circuit.gates]
+    touched = {q for support in supports for q in support}
     frontier = [0] * circuit.n_qubits
-    depth = 0
-    two_qubit = 0
-    for gate in circuit.gates:
-        support = gate.support
-        layer = 1 + max(frontier[q] for q in support)
-        for q in support:
-            frontier[q] = layer
-        depth = max(depth, layer)
-        if len(support) == 2:
-            two_qubit += 1
-    return CostReport(depth, two_qubit, len(circuit.gates))
+    skipped_depth = 0
+    for copy in range(repeats):
+        before = list(frontier)
+        for support in supports:
+            layer = 1 + max(map(frontier.__getitem__, support))
+            for q in support:
+                frontier[q] = layer
+        gains = {frontier[q] - before[q] for q in touched}
+        if len(gains) == 1:
+            skipped_depth = gains.pop() * (repeats - copy - 1)
+            break
+    two_qubit = sum(len(support) == 2 for support in supports)
+    return CostReport(max(frontier, default=0) + skipped_depth, repeats * two_qubit,
+                      repeats * len(supports))
 
 
 def collapse_register_block(circuit: Circuit,

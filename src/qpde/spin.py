@@ -2,9 +2,12 @@
 
 The model is H = -2 * sum_{i<j} J_ij (S_i . S_j) over spin-1/2 sites, so a
 positive coupling is ferromagnetic and a negative one antiferromagnetic.
-H commutes with total S^2, which is why products of S^2 eigenfunctions
-("spin eigenfunctions") are the natural preparation states: for symmetric
-coupling patterns they are exact energy eigenstates.
+With S_i . S_j = P_ij / 2 - 1/4, where the exchange operator P_ij swaps
+spins i and j, H = sum J_ij (1/2 - P_ij); H and total S^2 are built from
+cached permutation matrices.  H commutes with total S^2, which is why
+products of S^2 eigenfunctions ("spin eigenfunctions") are the natural
+preparation states: for symmetric coupling patterns they are exact energy
+eigenstates.
 
 Spin eigenfunctions are generated by the angular-momentum addition
 recurrence, coupling one spin-1/2 at a time.  A target (n, s) sector is
@@ -26,12 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .statevector import Statevector
-
-# Single-site spin operators (hbar = 1).
-SPIN_X = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
-SPIN_Y = np.array([[0, -0.5j], [0.5j, 0]], dtype=complex)
-SPIN_Z = np.array([[0.5, 0], [0, -0.5]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class SpinSystem:
@@ -73,35 +70,38 @@ def triangle(j12: float = 1.0, j23: float = 1.0, j13: float = 1.0) -> SpinSystem
     return SpinSystem(3, ((1, 2, j12), (1, 3, j13), (2, 3, j23)))
 
 
-def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed a single-site operator at 1-based site index."""
-    out = np.array([[1.0 + 0j]])
-    for k in range(1, n + 1):
-        out = np.kron(out, op if k == site else np.eye(2, dtype=complex))
-    return out
+@lru_cache(maxsize=None)
+def exchange_operator(n: int, i: int, j: int) -> np.ndarray:
+    """Real 2^n x 2^n permutation matrix P_ij that swaps spins i and j
+    (1-based); read-only and cached."""
+    index = np.arange(2 ** n)
+    differ = ((index >> (n - i)) ^ (index >> (n - j))) & 1
+    swapped = index ^ (differ << (n - i)) ^ (differ << (n - j))
+    p = np.eye(2 ** n)[swapped]
+    p.setflags(write=False)
+    return p
 
 
 def build_hamiltonian(system: SpinSystem) -> np.ndarray:
-    """Dense 2^n x 2^n Heisenberg Hamiltonian (real symmetric)."""
+    """Dense 2^n x 2^n Heisenberg Hamiltonian sum J (I/2 - P_ij), real symmetric."""
     n = system.n_spins
-    h = np.zeros((system.dim, system.dim), dtype=complex)
+    half = 0.5 * np.eye(system.dim)
+    h = np.zeros((system.dim, system.dim))
     for i, j, strength in system.couplings:
-        for op in (SPIN_X, SPIN_Y, SPIN_Z):
-            h -= 2.0 * strength * _site_operator(op, i, n) @ _site_operator(op, j, n)
-    return np.ascontiguousarray(h.real)
+        h += strength * (half - exchange_operator(n, i, j))
+    return h
 
 
 def spin_squared(n: int) -> np.ndarray:
-    """Total-spin operator S^2 = (sum_i S_i)^2 for n spin-1/2 sites."""
+    """Total-spin operator S^2 = 3n/4 + sum_{i<j} (P_ij - 1/2) for n spin-1/2 sites."""
     if n < 1:
         raise ValueError("need at least one spin")
-    dim = 2 ** n
-    s2 = 0.75 * n * np.eye(dim, dtype=complex)
+    half = 0.5 * np.eye(2 ** n)
+    s2 = 0.75 * n * np.eye(2 ** n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            for op in (SPIN_X, SPIN_Y, SPIN_Z):
-                s2 += 2.0 * _site_operator(op, i, n) @ _site_operator(op, j, n)
-    return np.ascontiguousarray(s2.real)
+            s2 += exchange_operator(n, i, j) - half
+    return s2
 
 
 def spin_z(n: int) -> np.ndarray:

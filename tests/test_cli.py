@@ -144,6 +144,31 @@ def test_schedule_override(tmp_path):
     assert [row[0] for row in rows[1:]] == ["0.2", "0.4", "0.8", "2.4"]
 
 
+@pytest.mark.parametrize("estimator, sampler, flags, message", [
+    ({}, {}, ["--schedule", "0.5:0"], "--schedule: bad schedule entry (0.5, 0)"),
+    ({}, {}, ["--shots", "0"], "--shots: expected a positive integer"),
+    ({"evolution": "exact"}, {}, ["--mode", "noisy"], "--mode: noisy sampling requires"),
+    ({"evolution": "exact"}, {"mode": "noisy"}, [], "sampler.mode: noisy sampling requires"),
+], ids=["zero_step_schedule", "zero_shots", "noisy_mode_flag", "noisy_mode_field"])
+def test_bad_override_is_a_config_error(tmp_path, capsys, estimator, sampler, flags,
+                                        message):
+    out = tmp_path / "out"
+    config = {
+        "system": {"n_spins": 2, "couplings": [[1, 2, 1.0]]},
+        "ground_label": "T", "excited_label": "S",
+        "prior": {"shape": "gaussian", "mu": 0.0, "sigma": 10.0},
+        "estimator": estimator,
+        "sampler": {"mode": "shots", **sampler},
+    }
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(path), "--out", str(out), *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_nonconvergence_exits_two(tmp_path):
     # A single wide-window iteration cannot reach the threshold.
     config = {

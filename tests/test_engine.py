@@ -10,8 +10,8 @@ from qpde.engine import (EstimatorConfig, PriorSpec, analytic_p0,
 from qpde.evolution import TrotterPlan, trotter_circuit
 from qpde.fitting import FitResult, GaussianEstimate
 from qpde.sampling import SamplerSpec
-from qpde.spin import (linear_chain, named_state, system_eigensystem, triangle,
-                       two_spin_system)
+from qpde.spin import (SpinSystem, linear_chain, named_state, system_eigensystem,
+                       triangle, two_spin_system)
 from qpde.statevector import (PAULI_Z, Statevector, ancilla_p0, circuit_unitary,
                               run_circuit)
 
@@ -183,6 +183,22 @@ def test_long_trotter_block_stays_unitary():
     assert np.max(np.abs(block.conj().T @ block - np.eye(8))) < 1e-13
     literal = circuit_unitary(trotter_circuit(system, TrotterPlan(8.0, 1200)))
     assert np.max(np.abs(block - literal)) < 1e-10
+
+
+@pytest.mark.parametrize("system", [
+    two_spin_system(-0.8),
+    SpinSystem(3, ((2, 3, 1.1), (1, 2, 1.0))),
+    SpinSystem(3, ((2, 3, 0.7805), (1, 3, -1.2124), (1, 2, 0.7805))),
+    SpinSystem(3, ((1, 3, 2.0), (1, 2, 1.0))),
+], ids=["two_spin", "chain_unsorted", "triangle_unsorted", "chain_13_12"])
+@pytest.mark.parametrize("t, n_steps", [(0.2, 1), (1.0, 7), (4.2, 600)])
+def test_trotter_block_matches_literal_step_circuit(system, t, n_steps):
+    # The register block against the gate-by-gate circuit of one step,
+    # raised to the step count and projected onto the unitaries alike.
+    one_step = circuit_unitary(trotter_circuit(system, TrotterPlan(t / n_steps, 1)))
+    w, _, vh = np.linalg.svd(np.linalg.matrix_power(one_step, n_steps))
+    block = engine._evolution_gate(system, t, "trotter", n_steps).matrix
+    assert np.max(np.abs(block - w @ vh)) <= 1e-14
 
 
 @pytest.mark.parametrize("couplings, sampler_seed", [((1.0, 1.0, 2.0), 17),

@@ -113,6 +113,46 @@ def test_capped_fringe_fit_settles_in_few_steps(fringe):
     assert fit.iterations <= 25
 
 
+def _reference_bounded_step(lhs, gradient, theta, free):
+    """The damped step on numpy arrays with np.linalg.solve, pinning each
+    parameter whose step crosses its bound; also returns the pinned count."""
+    lower, upper = np.array(fitting.LOWER), np.array(fitting.UPPER)
+    step = np.zeros(theta.size)
+    pinned = 0
+    while True:
+        rhs = -(gradient + lhs[:, ~free] @ step[~free])
+        step[free] = np.linalg.solve(lhs[free][:, free], rhs[free])
+        target = np.clip(theta + step, lower, upper)
+        crossed = free & (target != theta + step)
+        if not crossed.any():
+            return step, pinned
+        step[crossed] = target[crossed] - theta[crossed]
+        free = free & ~crossed
+        pinned += int(crossed.sum())
+
+
+def test_bounded_step_matches_numpy_reference():
+    rng = np.random.default_rng(2024)
+    pinned = 0
+    for _ in range(500):
+        jac = rng.normal(size=(21, 4)) * rng.uniform(0.1, 10, size=4)
+        normal = (jac * rng.uniform(0, 1, size=(21, 1))).T @ jac
+        lhs = normal + rng.choice([1e-6, 1e-3, 1.0]) * np.diag(np.diag(normal) + 1e-12)
+        gradient = rng.normal(size=4) * rng.uniform(0.1, 10, size=4)
+        # Offset and amplitude start on, near or well inside their bounds,
+        # and are held at random; mu and sigma have no bounds.
+        theta = np.array([rng.choice([0.0, 1e-4, 0.5, 0.9999, 1.0]),
+                          rng.choice([1e-9, 1e-3, 0.25, 0.4999, 0.5]),
+                          rng.normal(), rng.uniform(0.1, 3)])
+        free = np.array([rng.random() < 0.7, rng.random() < 0.7, True, True])
+        expected, crossed = _reference_bounded_step(lhs, gradient, theta, free)
+        step = fitting._bounded_step(lhs.tolist(), gradient.tolist(), theta.tolist(),
+                                     free.tolist())
+        assert np.max(np.abs(np.array(step) - expected)) <= 1e-12 * np.max(np.abs(expected))
+        pinned += crossed > 0
+    assert pinned > 50
+
+
 def test_needs_five_points():
     with pytest.raises(ValueError, match="5"):
         fit_gaussian(np.array([0.0, 1.0, 2.0]), np.array([0.1, 0.9, 0.1]))

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from qpde.cli import bundled_config_names, load_config
 from qpde.evolution import TrotterPlan, exact_evolution, trotter_circuit
 from qpde.optimizer import collapse_register_block, cost_report
-from qpde.spin import linear_chain
+from qpde.spin import SpinSystem, linear_chain
 from qpde.statevector import Circuit, Gate, circuit_unitary
 
 
@@ -66,3 +67,38 @@ def test_cost_report_depth_over_dependency_dag():
     # Controls participate in the dependency structure.
     controlled = Gate.controlled(3, (0, 1, 2), np.eye(8))
     assert cost_report(Circuit(4, [gate01, controlled])).depth == 2
+
+
+def _random_systems(seed):
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 4):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for _ in range(8):
+            chosen = rng.permutation(len(pairs))[:rng.integers(len(pairs) + 1)]
+            yield SpinSystem(n, tuple(pairs[k] + (float(rng.uniform(-2, 2)),)
+                                      for k in chosen))
+
+
+BUNDLED_SYSTEMS = [load_config(name)["system"] for name in bundled_config_names()]
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 600])
+def test_repeated_step_cost_matches_literal_circuit(n_steps):
+    # The optimizer report counts the pre-collapse circuit from one step.
+    for system in BUNDLED_SYSTEMS + list(_random_systems(n_steps)):
+        literal = cost_report(trotter_circuit(system, TrotterPlan(2.0, n_steps)))
+        step = trotter_circuit(system, TrotterPlan(2.0 / n_steps, 1))
+        assert cost_report(step, repeats=n_steps) == literal, system
+
+
+@pytest.mark.parametrize("supports", [[(0, 1), (1, 2)], [(1, 2), (0,), (0, 1), (2,)],
+                                      [(0, 1)]])
+def test_repeated_cost_walks_until_copies_deepen_evenly(supports):
+    # (0, 1), (1, 2) deepens qubit 0 by 1 and qubits 1, 2 by 2 in its first
+    # copy and every qubit by 2 from then on; qubit 2 of the last circuit
+    # is never touched.
+    gates = [Gate.two(*s, np.eye(4)) if len(s) == 2 else Gate.single(s[0], np.eye(2))
+             for s in supports]
+    for repeats in (1, 2, 5):
+        literal = cost_report(Circuit(3, gates * repeats))
+        assert cost_report(Circuit(3, gates), repeats=repeats) == literal

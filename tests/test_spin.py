@@ -1,7 +1,8 @@
 """Hamiltonian construction, spin eigenfunctions, and the exact-gap oracle.
 
 The closed-form entry formulas used as oracles here are written out
-independently of the kron-based builder they check.
+independently of the exchange-permutation builder they check, and so is
+the test-local Kronecker product of spin matrices.
 """
 import numpy as np
 import pytest
@@ -89,6 +90,40 @@ def test_spin_squared_small_cases():
     s2 = spin_squared(3)
     q = named_state("Q", 3).coefficients
     assert np.allclose(s2 @ q, 3.75 * q, atol=1e-12)
+
+
+SPIN_OPERATORS = (np.array([[0, 0.5], [0.5, 0]], dtype=complex),
+                  np.array([[0, -0.5j], [0.5j, 0]], dtype=complex),
+                  np.array([[0.5, 0], [0, -0.5]], dtype=complex))
+
+
+def kron_site(op, site, n):
+    """Single-site operator at 1-based `site` of n spins (spin 1 is the high bit)."""
+    out = np.eye(1)
+    for k in range(1, n + 1):
+        out = np.kron(out, op if k == site else np.eye(2))
+    return out
+
+
+def test_hamiltonian_and_total_spin_match_kron_oracle():
+    rng = np.random.default_rng(808)
+    for n in range(1, 5):
+        total = [sum(kron_site(op, i, n) for i in range(1, n + 1)) for op in SPIN_OPERATORS]
+        assert np.max(np.abs(spin_squared(n) - sum(s @ s for s in total))) <= 1e-15
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for _ in range(25):
+            chosen = rng.permutation(len(pairs))[:rng.integers(len(pairs) + 1)]
+            # Zero, negative and positive couplings, listed in random order.
+            strengths = (rng.choice([0.0, -1.0, 1.0], size=chosen.size)
+                         * rng.uniform(0, 2, chosen.size))
+            couplings = tuple(pairs[k] + (float(s),) for k, s in zip(chosen, strengths))
+            expected = np.zeros((2 ** n, 2 ** n), dtype=complex)
+            for i, j, strength in couplings:
+                for op in SPIN_OPERATORS:
+                    expected -= 2.0 * strength * kron_site(op, i, n) @ kron_site(op, j, n)
+            h = build_hamiltonian(SpinSystem(n, couplings))
+            assert np.max(np.abs(expected.imag)) == 0.0
+            assert np.max(np.abs(h - expected.real)) <= 1e-15
 
 
 def test_hamiltonian_commutes_with_total_spin():
