@@ -1,13 +1,14 @@
 """First-order product-formula error and constant-cost compression.
 
-Doubling the step count halves the operator-norm error, and collapsing an
-evolution segment into one register block makes the compiled cost
-independent of the step count, which is what makes long evolutions cheap.
+Doubling the step count halves the operator-norm error, and the one
+register block `evolution_block` collapses an evolution segment to has a
+compiled cost independent of the step count, which is what makes long
+evolutions cheap.
 """
 import numpy as np
 
-from qpde import (TrotterPlan, circuit_unitary, collapse_register_block,
-                  cost_report, exact_evolution, linear_chain, triangle,
+from qpde import (Circuit, TrotterPlan, circuit_unitary, cost_report,
+                  evolution_block, exact_evolution, linear_chain, triangle,
                   trotter_circuit)
 
 system = triangle(1.0, 1.0, 1.0)
@@ -28,7 +29,7 @@ system = linear_chain(1.0, 1.0)
 for t, n_steps in ((0.2, 30), (1.0, 150), (4.2, 620)):
     circuit = trotter_circuit(system, TrotterPlan(t, n_steps))
     pre = cost_report(circuit)
-    collapsed = collapse_register_block(circuit)
+    collapsed = Circuit(system.n_spins, [evolution_block(system, t, "trotter", n_steps)])
     post = cost_report(collapsed)
     drift = np.max(np.abs(circuit_unitary(collapsed) - circuit_unitary(circuit)))
     print(f"  t = {t:3.1f}, n = {n_steps:3d}: depth {pre.depth:4d} -> {post.depth}, "

@@ -1,14 +1,15 @@
 """Gap estimation for small Heisenberg spin systems via ancilla
 interferometry, with exact-diagonalization oracles, Trotterized time
-evolution, circuit compression, and shot/noise sampling."""
+evolution collapsed to one register block, and shot/noise sampling."""
 
 from .engine import (EstimationResult, EstimatorConfig, IterationRecord,
                      PriorSpec, SweepPoint, analytic_p0, build_excitation_unitary,
                      check_restart, default_steps, next_time, qpde_circuit,
                      qpde_p0, run_estimation, sweep)
-from .evolution import TrotterPlan, exact_evolution, pair_term_unitary, trotter_circuit
+from .evolution import (TrotterPlan, evolution_block, exact_evolution, pair_term_unitary,
+                        trotter_circuit)
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
-from .optimizer import CostReport, collapse_register_block, cost_report
+from .optimizer import CostReport, cost_report
 from .sampling import (SamplerSpec, depolarized_overlap, derived_rng,
                        noisy_trajectory_p0, sample_p0)
 from .spin import (SpectrumReport, SpinEigenfunction, SpinSystem, build_hamiltonian,

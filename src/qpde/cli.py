@@ -24,12 +24,12 @@ import traceback
 from importlib import resources
 from pathlib import Path
 
-from .engine import EstimatorConfig, PriorSpec, _evolution_gate, run_estimation
-from .evolution import TrotterPlan, trotter_circuit
+from .engine import EstimatorConfig, PriorSpec, build_excitation_unitary, run_estimation
+from .evolution import TrotterPlan, evolution_block, trotter_circuit
 from .optimizer import cost_report
 from .sampling import SamplerSpec
 from .spin import SpinSystem, exact_gap, named_state
-from .statevector import Circuit, inner_product
+from .statevector import Circuit
 
 
 class ConfigError(Exception):
@@ -104,10 +104,11 @@ def parse_config(raw: dict) -> dict:
             named_state(label, system.n_spins)
         except ValueError as exc:
             raise ConfigError(f"{field_name}: {exc}") from exc
-    phi0 = named_state(ground, system.n_spins).to_statevector()
-    phi1 = named_state(excited, system.n_spins).to_statevector()
-    if abs(inner_product(phi0, phi1)) > 1e-10:
-        raise ConfigError("excited_label: preparation states must be orthogonal")
+    try:
+        build_excitation_unitary(named_state(ground, system.n_spins).to_statevector(),
+                                 named_state(excited, system.n_spins).to_statevector())
+    except ValueError as exc:
+        raise ConfigError(f"excited_label: {exc}") from exc
 
     prior_raw = _require(raw, "prior", dict, "config")
     try:
@@ -183,7 +184,10 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
 
     sampler = cfg["sampler"]
     if args.seed is not None:
-        sampler = replace(sampler, seed=args.seed)
+        try:
+            sampler = replace(sampler, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     if args.shots is not None:
         if args.shots == "exact":
             sampler = replace(sampler, mode="exact")
@@ -250,7 +254,7 @@ def _write_optimizer_csv(path: Path, system: SpinSystem, pairs):
             pre = cost_report(trotter_circuit(system, TrotterPlan(t / n_steps, 1)),
                               repeats=n_steps)
             # The collapsed circuit is the one register block the run evolves with.
-            block = _evolution_gate(system, t, "trotter", n_steps)
+            block = evolution_block(system, t, "trotter", n_steps)
             post = cost_report(Circuit(system.n_spins, [block]))
             writer.writerow([repr(t), n_steps, pre.depth, pre.two_qubit_count,
                              pre.gate_count, post.depth, post.two_qubit_count,

@@ -9,13 +9,14 @@ Measurement primitive (one trial phase delta_eps, one evolution time t):
 Only the phase gate depends on delta_eps, so the outcome is read from the
 branch overlap z = <U phi0| E^dag U E phi0> of the register evolution U
 and the excitation swap E: p0 = (1 + Re(e^{i delta_eps t} z)) / 2
-(`sampling.fringe_p0`).  One z per (t, n_steps), from the cached
-evolution block, gives a whole sweep grid in one array expression.  For
-eigenstate preparations this is the pure interference fringe
-p0 = (1 + cos((gap - delta_eps) t)) / 2, so scanning delta_eps and
-locating the peak reads off the gap directly.  `qpde_circuit` builds the
-literal interferometer circuit, and `analytic_p0` evaluates the general
-mixture formula; both are independent references for the fringe.
+(`sampling.fringe_p0`).  One z per (t, n_steps), from the register block
+that `evolution.evolution_block` builds and caches, gives a whole sweep
+grid in one array expression.  For eigenstate preparations this is the
+pure interference fringe p0 = (1 + cos((gap - delta_eps) t)) / 2, so
+scanning delta_eps and locating the peak reads off the gap directly.
+`qpde_circuit` builds the literal interferometer circuit, and
+`analytic_p0` evaluates the general mixture formula; both are
+independent references for the fringe.
 
 Shots mode draws one binomial count per grid point from the fringe.
 Noisy mode draws it from the depolarized fringe instead: its mean overlap
@@ -38,11 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .evolution import TrotterPlan, exact_evolution, trotter_circuit, trotter_step_unitary
+from .evolution import TrotterPlan, evolution_block, trotter_circuit
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
                        sample_p0)
@@ -88,6 +88,10 @@ class EstimatorConfig:
             raise ValueError("e_thre must be positive")
         if self.grid_points < 5:
             raise ValueError("grid_points must be at least 5")
+        if not self.initial_t > 0:
+            raise ValueError("initial_t must be positive")
+        if self.fit_retry_limit < 1:
+            raise ValueError("fit_retry_limit must be at least 1")
         if self.evolution not in ("exact", "trotter"):
             raise ValueError(f"evolution mode {self.evolution!r} not recognized")
         if self.explicit_schedule is not None:
@@ -149,23 +153,6 @@ def build_excitation_unitary(phi0: Statevector, phi1: Statevector) -> np.ndarray
             + np.eye(dim, dtype=complex) - np.outer(a, a.conj()) - np.outer(b, b.conj()))
 
 
-@lru_cache(maxsize=4096)
-def _evolution_gate(system: SpinSystem, t: float, evolution: str,
-                    n_steps: int | None) -> Gate:
-    targets = tuple(range(system.n_spins))
-    if evolution == "exact":
-        return Gate.register(targets, exact_evolution(system, t))
-    if evolution == "trotter":
-        if n_steps is None:
-            raise ValueError("trotter evolution requires n_steps")
-        # The power multiplies the step's rounding error by n_steps; its
-        # polar factor is the nearest unitary.
-        one_step = trotter_step_unitary(system, t / n_steps)
-        w, _, vh = np.linalg.svd(np.linalg.matrix_power(one_step, n_steps))
-        return Gate.register(targets, w @ vh)
-    raise ValueError(f"evolution mode {evolution!r} not recognized")
-
-
 def qpde_circuit(system: SpinSystem, excitation: np.ndarray, t: float,
                  delta_eps: float, evolution: str = "exact",
                  n_steps: int | None = None) -> Circuit:
@@ -177,7 +164,7 @@ def qpde_circuit(system: SpinSystem, excitation: np.ndarray, t: float,
     circuit = Circuit(n + 1)
     circuit.append(Gate.single(ancilla, HADAMARD))
     circuit.append(Gate.controlled(ancilla, register, excitation))
-    circuit.append(_evolution_gate(system, t, evolution, n_steps))
+    circuit.append(evolution_block(system, t, evolution, n_steps))
     circuit.append(Gate.controlled(ancilla, register, excitation.conj().T))
     circuit.append(Gate.single(ancilla, phase_shift(delta_eps * t)))
     circuit.append(Gate.single(ancilla, HADAMARD))
@@ -188,7 +175,7 @@ def _branch_overlap(phi0: Statevector, excitation: np.ndarray, system: SpinSyste
                     t: float, evolution: str, n_steps: int | None) -> complex:
     """z = <U phi0| E^dag U E phi0>: the two interferometer branches after
     the register evolution U, compared through the inverse swap."""
-    evolved = _evolution_gate(system, t, evolution, n_steps).matrix
+    evolved = evolution_block(system, t, evolution, n_steps).matrix
     chi0 = evolved @ phi0.amplitudes
     chi1 = evolved @ (excitation @ phi0.amplitudes)
     return complex(np.vdot(chi0, excitation.conj().T @ chi1))

@@ -11,14 +11,19 @@ of these pair factors, applied in a fixed (i, j) order so runs are
 reproducible (the first-order error depends on term order).  Each pair
 factor is exact, so every step is unitary, and for a single-coupling
 system one step is already the exact evolution.  `trotter_step_unitary`
-is one step as a dense register matrix, the block the estimation raises
-to the n_steps power; `trotter_circuit` lays the same factors out as
-two-qubit gates for the noise channel and for device-cost counts.  The
-exact propagator comes from the cached spectrum in `spin`.
+is one step as a dense register matrix; `trotter_circuit` lays the same
+factors out as two-qubit gates for the noise channel and for device-cost
+counts.  The exact propagator comes from the cached spectrum in `spin`.
+
+However many steps it holds, an evolution segment on the register is one
+fixed-size block, built and cached only by `evolution_block`: the exact
+propagator, or the one-step block raised to the n_steps power.  The
+interferometer, its literal circuit and the CLI's cost report all use it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,3 +86,21 @@ def exact_evolution(system: SpinSystem, t: float) -> np.ndarray:
     values, vectors = system_eigensystem(system)
     phases = np.exp(-1j * values * t)
     return (vectors * phases) @ vectors.conj().T
+
+
+@lru_cache(maxsize=4096)
+def evolution_block(system: SpinSystem, t: float, evolution: str,
+                    n_steps: int | None) -> Gate:
+    """Register-wide gate of exp(-iHt), exact or as n_steps Trotter steps."""
+    targets = tuple(range(system.n_spins))
+    if evolution == "exact":
+        return Gate.register(targets, exact_evolution(system, t))
+    if evolution == "trotter":
+        if n_steps is None:
+            raise ValueError("trotter evolution requires n_steps")
+        # The power multiplies the step's rounding error by n_steps; its
+        # polar factor is the nearest unitary.
+        one_step = trotter_step_unitary(system, t / n_steps)
+        w, _, vh = np.linalg.svd(np.linalg.matrix_power(one_step, n_steps))
+        return Gate.register(targets, w @ vh)
+    raise ValueError(f"evolution mode {evolution!r} not recognized")

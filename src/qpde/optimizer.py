@@ -1,17 +1,16 @@
-"""Circuit compression and cost accounting.
+"""Device-cost accounting of circuits.
 
-The pair-exchange structure of Heisenberg evolution means a product of
-arbitrarily many step gates on a small register collapses to a fixed-size
-block, so the compiled cost of an evolution segment is independent of the
-Trotter step count.  The collapse preserves the whole-register unitary.
+`cost_report` gives a circuit's depth over its qubit-dependency DAG and
+its gate tallies.  The CLI's optimizer report compares the literal
+n_steps Trotter circuit with the one register block that
+`evolution.evolution_block` collapses it to, whose cost does not depend
+on the step count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .statevector import Circuit, Gate, circuit_unitary
-
-COLLAPSE_MAX_QUBITS = 3
+from .statevector import Circuit
 
 
 @dataclass(frozen=True)
@@ -44,19 +43,3 @@ def cost_report(circuit: Circuit, repeats: int = 1) -> CostReport:
     two_qubit = sum(len(support) == 2 for support in supports)
     return CostReport(max(frontier, default=0) + skipped_depth, repeats * two_qubit,
                       repeats * len(supports))
-
-
-def collapse_register_block(circuit: Circuit,
-                            max_qubits: int = COLLAPSE_MAX_QUBITS) -> Circuit:
-    """Replace the whole circuit by one register-wide unitary block.
-
-    Intended for evolution segments on a small register; the result's
-    cost no longer depends on how many step gates went in.
-    """
-    if circuit.n_qubits > max_qubits:
-        raise ValueError(
-            f"refusing to collapse a {circuit.n_qubits}-qubit register "
-            f"(limit {max_qubits})")
-    block = circuit_unitary(circuit)
-    gate = Gate.register(tuple(range(circuit.n_qubits)), block)
-    return Circuit(circuit.n_qubits, [gate])

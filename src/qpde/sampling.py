@@ -16,9 +16,9 @@ see the same register operations, so z is linear in the branch coherence
 X = U_swap |phi_0><phi_0| and E[z] = tr(U_swap^dag Phi(X)) for the
 depolarizing channel Phi of the evolution.  `depolarized_overlap`
 computes it exactly from one Trotter step's superoperator, written as a
-real Pauli transfer matrix, raised to the step count.  `noisy_trajectory_p0` is the literal, gate-by-gate
-trajectory average for an arbitrary circuit, the reference the channel is
-checked against.
+real Pauli transfer matrix, raised to the step count.
+`noisy_trajectory_p0` is the literal, gate-by-gate trajectory average
+for an arbitrary circuit, the reference the channel is checked against.
 """
 from __future__ import annotations
 
@@ -28,15 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .statevector import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, Gate,
-                          Statevector, _apply_matrix, ancilla_p0, apply_gate)
-
-#: The 15 non-identity two-qubit Paulis, in a fixed order.
-TWO_QUBIT_PAULIS = tuple(
-    np.kron(a, b)
-    for idx, (a, b) in enumerate(
-        (p, q) for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-        for q in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z))
-    if idx != 0)
+                          Statevector, ancilla_p0, apply_gate, apply_matrix)
 
 
 @dataclass(frozen=True)
@@ -61,6 +53,8 @@ class SamplerSpec:
             raise ValueError("shot count must be at least 1")
         if not 0.0 <= self.p_depol <= 1.0:
             raise ValueError("p_depol must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
@@ -129,6 +123,10 @@ def _pauli_basis(n_qubits: int) -> np.ndarray:
     return basis
 
 
+#: The 15 non-identity two-qubit Paulis, in the basis order.
+TWO_QUBIT_PAULIS = tuple(2 * _pauli_basis(2)[1:])
+
+
 def _pauli_transfer(unitary: np.ndarray) -> np.ndarray:
     """Real matrix of X -> U X U^dag in the two-qubit Pauli basis."""
     basis = _pauli_basis(2)
@@ -156,8 +154,8 @@ def depolarized_overlap(phi0: np.ndarray, excitation: np.ndarray, step: Circuit,
         if gate.kind != "two":
             raise ValueError("the noise channel expects two-qubit step gates")
         digits = tuple(bit for q in gate.targets for bit in (2 * q, 2 * q + 1))
-        transfer = _apply_matrix(transfer, decay[:, None] * _pauli_transfer(gate.matrix),
-                                 digits, 2 * n)
+        transfer = apply_matrix(transfer, decay[:, None] * _pauli_transfer(gate.matrix),
+                                digits, 2 * n)
     coherence = np.einsum("i,aij,j->a", phi0.conj(), basis, excitation @ phi0)
     # Real and imaginary parts apart, so every product stays real: complex
     # products of this size go to a multithreaded BLAS kernel that runs

@@ -325,17 +325,13 @@ class SpectrumReport:
 
 
 @lru_cache(maxsize=512)
-def _eigensystem(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
+def system_eigensystem(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Cached exact diagonalization of the system Hamiltonian: ascending
+    eigenvalues and the eigenvectors as columns, both read-only."""
     values, vectors = np.linalg.eigh(build_hamiltonian(system))
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors
-
-
-def system_eigensystem(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Cached exact diagonalization of the system Hamiltonian: ascending
-    eigenvalues and the eigenvectors as columns."""
-    return _eigensystem(system)
 
 
 def _assign(values: np.ndarray, vectors: np.ndarray,

@@ -161,8 +161,8 @@ def phase_shift(angle: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=complex)
 
 
-def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],
-                  n: int) -> np.ndarray:
+def apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],
+                 n: int) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to the listed qubit axes of a dense state,
     or of every column of a (2^n, m) block."""
     k = len(targets)
@@ -179,10 +179,10 @@ def _apply_gate_raw(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         branch = tensor[1]
         # Target axes shift down by one where they sat above the control.
         shifted = tuple(q if q < gate.control else q - 1 for q in gate.targets)
-        tensor[1] = _apply_matrix(branch.reshape((-1,) + amps.shape[1:]), gate.matrix,
-                                  shifted, n - 1).reshape(branch.shape)
+        tensor[1] = apply_matrix(branch.reshape((-1,) + amps.shape[1:]), gate.matrix,
+                                 shifted, n - 1).reshape(branch.shape)
         return np.moveaxis(tensor, 0, gate.control).reshape(amps.shape)
-    return _apply_matrix(amps, gate.matrix, gate.targets, n)
+    return apply_matrix(amps, gate.matrix, gate.targets, n)
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:

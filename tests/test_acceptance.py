@@ -12,15 +12,15 @@ import pytest
 import qpde.engine as engine
 from qpde.engine import (EstimatorConfig, PriorSpec, analytic_p0, qpde_p0,
                          run_estimation)
-from qpde.evolution import TrotterPlan, exact_evolution, trotter_circuit
+from qpde.evolution import TrotterPlan, evolution_block, exact_evolution, trotter_circuit
 from qpde.fitting import FitResult
-from qpde.optimizer import collapse_register_block, cost_report
+from qpde.optimizer import cost_report
 from qpde.sampling import SamplerSpec
 from qpde.spin import (build_hamiltonian, exact_gap, linear_chain, named_state,
                        spin_eigenbasis, spin_eigenfunction, spin_squared,
                        system_eigensystem, to_spin_eigenbasis, triangle,
                        two_spin_system)
-from qpde.statevector import Statevector, circuit_unitary
+from qpde.statevector import Circuit, Statevector, circuit_unitary
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -193,7 +193,8 @@ def test_criterion_7_constant_cost_compression():
     reports = []
     for t, n_steps in ((0.2, 30), (4.2, 620)):
         circuit = trotter_circuit(system, TrotterPlan(t, n_steps))
-        collapsed = collapse_register_block(circuit)
+        collapsed = Circuit(system.n_spins,
+                            [evolution_block(system, t, "trotter", n_steps)])
         reports.append(cost_report(collapsed))
         exact = exact_evolution(system, t)
         dist_collapsed = np.linalg.norm(circuit_unitary(collapsed) - exact, ord=2)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qpde.cli import bundled_config_names, main
+from qpde.evolution import evolution_block
 
 
 def run_cli(*argv):
@@ -149,7 +150,13 @@ def test_schedule_override(tmp_path):
     ({}, {}, ["--shots", "0"], "--shots: expected a positive integer"),
     ({"evolution": "exact"}, {}, ["--mode", "noisy"], "--mode: noisy sampling requires"),
     ({"evolution": "exact"}, {"mode": "noisy"}, [], "sampler.mode: noisy sampling requires"),
-], ids=["zero_step_schedule", "zero_shots", "noisy_mode_flag", "noisy_mode_field"])
+    ({"fit_retry_limit": 0}, {}, [], "estimator: fit_retry_limit must be at least 1"),
+    ({"initial_t": -0.2}, {}, [], "estimator: initial_t must be positive"),
+    ({}, {"seed": -1}, [], "sampler: seed must be non-negative"),
+    ({}, {}, ["--seed", "-1"], "--seed: seed must be non-negative"),
+], ids=["zero_step_schedule", "zero_shots", "noisy_mode_flag", "noisy_mode_field",
+        "zero_fit_retries", "negative_initial_t", "negative_seed_field",
+        "negative_seed_flag"])
 def test_bad_override_is_a_config_error(tmp_path, capsys, estimator, sampler, flags,
                                         message):
     out = tmp_path / "out"
@@ -167,6 +174,17 @@ def test_bad_override_is_a_config_error(tmp_path, capsys, estimator, sampler, fl
     assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_report_reuses_the_run_blocks(tmp_path):
+    # The post-collapse cost in optimizer_report.csv is read from the blocks
+    # the run evolved with: one block is built per distinct (t, n_steps).
+    evolution_block.cache_clear()
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", "linear_chain", "--out", str(out)) == 0
+    pairs = {tuple(row[:2]) for row in read_csv(out / "iterations.csv")[1:]}
+    assert len(read_csv(out / "optimizer_report.csv")) == 1 + len(pairs)
+    assert evolution_block.cache_info().misses == len(pairs)
 
 
 def test_nonconvergence_exits_two(tmp_path):

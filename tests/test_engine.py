@@ -7,7 +7,7 @@ from qpde.engine import (EstimatorConfig, PriorSpec, analytic_p0,
                          build_excitation_unitary, check_restart, default_steps,
                          next_time, qpde_circuit, qpde_p0, run_estimation, sweep,
                          sweep_grid)
-from qpde.evolution import TrotterPlan, trotter_circuit
+from qpde.evolution import TrotterPlan, evolution_block, trotter_circuit
 from qpde.fitting import FitResult, GaussianEstimate
 from qpde.sampling import SamplerSpec
 from qpde.spin import (SpinSystem, linear_chain, named_state, system_eigensystem,
@@ -179,7 +179,7 @@ def test_long_trotter_block_stays_unitary():
     # A matrix power of the one-step block drifts from unitarity by about
     # 1e-15 per step and fails the gate's 1e-12 check here.
     system = triangle(0.7805, 1.2124, 0.7805)
-    block = engine._evolution_gate(system, 8.0, "trotter", 1200).matrix
+    block = evolution_block(system, 8.0, "trotter", 1200).matrix
     assert np.max(np.abs(block.conj().T @ block - np.eye(8))) < 1e-13
     literal = circuit_unitary(trotter_circuit(system, TrotterPlan(8.0, 1200)))
     assert np.max(np.abs(block - literal)) < 1e-10
@@ -197,7 +197,7 @@ def test_trotter_block_matches_literal_step_circuit(system, t, n_steps):
     # raised to the step count and projected onto the unitaries alike.
     one_step = circuit_unitary(trotter_circuit(system, TrotterPlan(t / n_steps, 1)))
     w, _, vh = np.linalg.svd(np.linalg.matrix_power(one_step, n_steps))
-    block = engine._evolution_gate(system, t, "trotter", n_steps).matrix
+    block = evolution_block(system, t, "trotter", n_steps).matrix
     assert np.max(np.abs(block - w @ vh)) <= 1e-14
 
 
@@ -403,3 +403,7 @@ def test_estimator_config_validation():
         EstimatorConfig(grid_points=3)
     with pytest.raises(ValueError):
         EstimatorConfig(explicit_schedule=((0.0, 5),))
+    with pytest.raises(ValueError, match="initial_t"):
+        EstimatorConfig(initial_t=0.0)
+    with pytest.raises(ValueError, match="fit_retry_limit"):
+        EstimatorConfig(fit_retry_limit=0)

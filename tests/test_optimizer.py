@@ -1,45 +1,12 @@
-"""Compression passes preserve the unitary; compiled cost is step-free."""
+"""Device-cost accounting: depth over the dependency DAG and gate tallies."""
 import numpy as np
 import pytest
 
 from qpde.cli import bundled_config_names, load_config
-from qpde.evolution import TrotterPlan, exact_evolution, trotter_circuit
-from qpde.optimizer import collapse_register_block, cost_report
+from qpde.evolution import TrotterPlan, trotter_circuit
+from qpde.optimizer import cost_report
 from qpde.spin import SpinSystem, linear_chain
-from qpde.statevector import Circuit, Gate, circuit_unitary
-
-
-def test_collapse_identity_circuit():
-    collapsed = collapse_register_block(Circuit(3, [Gate.single(0, np.eye(2))]))
-    assert len(collapsed.gates) == 1
-    assert np.allclose(collapsed.gates[0].matrix, np.eye(8))
-
-
-def test_collapse_rejects_wide_registers():
-    with pytest.raises(ValueError, match="collapse"):
-        collapse_register_block(Circuit(4, []))
-
-
-def test_collapse_cost_is_step_count_free():
-    system = linear_chain(1.0, 1.0)
-    reports = []
-    for t, n_steps in ((0.2, 30), (4.2, 620)):
-        collapsed = collapse_register_block(
-            trotter_circuit(system, TrotterPlan(t, n_steps)))
-        reports.append(cost_report(collapsed))
-    assert reports[0] == reports[1]
-    assert reports[0].gate_count == 1
-
-
-def test_collapsed_unitary_within_trotter_distance():
-    system = linear_chain(1.0, 1.0)
-    for t, n_steps in ((0.2, 30), (4.2, 620)):
-        circuit = trotter_circuit(system, TrotterPlan(t, n_steps))
-        collapsed = collapse_register_block(circuit)
-        exact = exact_evolution(system, t)
-        dist_collapsed = np.linalg.norm(circuit_unitary(collapsed) - exact, ord=2)
-        dist_trotter = np.linalg.norm(circuit_unitary(circuit) - exact, ord=2)
-        assert dist_collapsed <= dist_trotter + 1e-10
+from qpde.statevector import Circuit, Gate
 
 
 def test_cost_report_empty():

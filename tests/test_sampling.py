@@ -23,6 +23,8 @@ def test_sampler_spec_validation():
         SamplerSpec(shots=0)
     with pytest.raises(ValueError):
         SamplerSpec(p_depol=1.5)
+    with pytest.raises(ValueError, match="seed"):
+        SamplerSpec(seed=-1)
 
 
 def test_sample_p0_extremes_and_determinism():

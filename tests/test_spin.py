@@ -360,6 +360,16 @@ def closed_form_spectrum(n_spins, j12, j23=0.0, j13=0.0):
     return np.sort([-total / 2] * 4 + [total / 2 - radius] * 2 + [total / 2 + radius] * 2)
 
 
+def test_two_spin_hamiltonian_spectrum():
+    values, _ = system_eigensystem(two_spin_system(1.0))
+    assert np.allclose(values, [-0.5, -0.5, -0.5, 1.5], atol=1e-12)
+
+
+def test_frustrated_triangle_spectrum():
+    values, _ = system_eigensystem(triangle(1, 1, 1))
+    assert np.allclose(values, [-1.5] * 4 + [1.5] * 4, atol=1e-12)
+
+
 def test_system_eigensystem_matches_closed_form_spectrum():
     rng = np.random.default_rng(11)
     for case in range(300):
