@@ -225,13 +225,15 @@ def _write_iterations_csv(path: Path, trace):
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "n_steps", "mu_ini", "sigma_ini", "mu_fit",
-                         "sigma_fit", "mu_upd", "sigma_upd", "restarted"])
+                         "sigma_fit", "mu_upd", "sigma_upd", "restarted",
+                         "fit_iterations", "fit_reason"])
         for row in trace:
             writer.writerow([repr(row.t), row.n_steps, repr(row.prior.mu),
                              repr(row.prior.sigma), repr(row.fit.mu),
                              repr(row.fit.sigma), repr(row.posterior.mu),
                              repr(row.posterior.sigma),
-                             "true" if row.restarted else "false"])
+                             "true" if row.restarted else "false",
+                             row.fit.iterations, row.fit.reason])
 
 
 def _write_sweeps_csv(path: Path, trace):

@@ -90,6 +90,12 @@ class EstimatorConfig:
             raise ValueError("grid_points must be at least 5")
         if not self.initial_t > 0:
             raise ValueError("initial_t must be positive")
+        if not self.steps_per_unit_time > 0:
+            raise ValueError("steps_per_unit_time must be positive")
+        if not self.time_growth_factor > 0:
+            raise ValueError("time_growth_factor must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.fit_retry_limit < 1:
             raise ValueError("fit_retry_limit must be at least 1")
         if self.evolution not in ("exact", "trotter"):

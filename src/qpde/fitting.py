@@ -9,18 +9,23 @@ least squares is weighted by p0^2 so the peak region - the part that
 carries the gap information - dominates, which keeps the surrogate width
 near the fringe's curvature width instead of chasing the cosine tails.
 
-Solved by projected damped Gauss-Newton from (min, max - min, argmax,
-span/4): a parameter on a bound that the gradient pushes further out -
-typically the amplitude on its cap - is held, one whose step would cross
-a bound is pinned there, and the Levenberg-damped normal equations are
-solved over the rest.  A clamped candidate is kept if it lowers the cost.
-The iteration stops at the constrained minimum, when the clamped step is
-below STEP_ABS in offset and amplitude and STEP_REL of the span in mu and
-sigma, or when 30 damping raises in a row find no lower cost.  Numpy
-computes the residual, Jacobian and normal products over the sweep; the
-4-parameter algebra (held set, damping, pinning, clamp, step test) runs on
-Python floats, where numpy's dispatch would cost more than the arithmetic,
-and only the solve over the free parameters calls LAPACK.
+Solved by projected damped Newton from (min, max - min, argmax, span/4):
+a parameter on a bound that the gradient pushes further out - typically
+the amplitude on its cap - is held, one whose step would cross a bound is
+pinned there, and the Levenberg-damped Newton equations are solved over
+the rest.  The cosine fringe never matches the Gaussian, so the residual
+stays large and Gauss-Newton alone converges only linearly, zigzagging
+along the mu-sigma valley; the exact Hessian - J^T W J plus the residual
+curvature - is used whenever it is positive definite over the free
+parameters, and J^T W J otherwise.  A clamped candidate is kept if it
+lowers the cost.  The iteration stops at the constrained minimum, when the
+clamped step is below STEP_ABS in offset and amplitude and STEP_REL of the
+span in mu and sigma, or when 30 damping raises in a row find no lower
+cost.  Numpy computes the residual, Jacobian, moments and normal products
+over the sweep; the 4-parameter algebra (held set, damping, pinning,
+clamp, step test) runs on Python floats, where numpy's dispatch would cost
+more than the arithmetic, and only the definiteness test and the solve
+over the free parameters call LAPACK.
 """
 from __future__ import annotations
 
@@ -57,7 +62,7 @@ class FitResult:
     offset: float
     converged: bool
     residual_norm: float
-    iterations: int = 0        # accepted Gauss-Newton steps
+    iterations: int = 0        # accepted Newton steps
     reason: str = "converged"  # or flat_data, not_settled, sigma_floor, mean_outside_window
 
     def estimate(self) -> GaussianEstimate:
@@ -90,6 +95,25 @@ def _fallback(x: np.ndarray, y: np.ndarray, fallback_sigma: float,
                      amplitude=min(hi - lo, AMPLITUDE_MAX), offset=lo,
                      converged=False, iterations=iterations, reason=reason,
                      residual_norm=float(np.linalg.norm(y - np.mean(y))))
+
+
+def _newton_matrix(x: np.ndarray, weighted_residual: np.ndarray, shape: np.ndarray,
+                   theta: list, gauss_newton: np.ndarray) -> list:
+    """Hessian of sum(w r^2) / 2: the Gauss-Newton matrix J^T W J plus the
+    residual curvature sum(w r d2r), which only couples amplitude, mu and
+    sigma; in u = (x - mu) / sigma it is a sum of moments m_k = sum(w r s u^k)."""
+    _, amplitude, mu, sigma = theta
+    u = (x - mu) / sigma
+    m0, m1, m2, m3, m4 = (u ** np.arange(5)[:, None] @ (weighted_residual * shape)).tolist()
+    curvature = amplitude / sigma ** 2
+    hessian = gauss_newton.tolist()
+    for r, c, extra in ((1, 2, m1 / sigma), (1, 3, m2 / sigma),
+                        (2, 3, curvature * (m3 - 2 * m1))):
+        hessian[r][c] += extra
+        hessian[c][r] += extra
+    hessian[2][2] += curvature * (m2 - m0)
+    hessian[3][3] += curvature * (m4 - 3 * m2)
+    return hessian
 
 
 def _bounded_step(lhs: list, gradient: list, theta: list, free: list) -> list:
@@ -166,9 +190,15 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
         jac[:, 3] = amplitude * shape * (x - mu) ** 2 / sigma ** 3
         jw = jac * weights[:, None]
         gradient = (jw.T @ residual).tolist()
-        normal = (jw.T @ jac).tolist()
         free = [not (value >= upper and slope < 0 or value <= lower and slope > 0)
                 for value, slope, lower, upper in zip(theta, gradient, LOWER, UPPER)]
+        gauss_newton = jw.T @ jac
+        normal = _newton_matrix(x, weights * residual, shape, theta, gauss_newton)
+        try:  # the Newton matrix must be a descent metric over the free set
+            np.linalg.cholesky([[normal[r][c] for c in range(4) if free[c]]
+                                for r in range(4) if free[r]])
+        except np.linalg.LinAlgError:
+            normal = gauss_newton.tolist()
         settled = True  # unless a step below lowers the cost
         for _ in range(30):
             lhs = [[value + damping * (value + 1e-12) if r == c else value

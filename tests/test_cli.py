@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qpde import fitting
 from qpde.cli import bundled_config_names, main
 from qpde.evolution import evolution_block
 
@@ -36,7 +37,8 @@ def test_run_two_spin_exact_mode(tmp_path, capsys):
 
     rows = read_csv(out / "iterations.csv")
     assert rows[0] == ["t", "n_steps", "mu_ini", "sigma_ini", "mu_fit",
-                       "sigma_fit", "mu_upd", "sigma_upd", "restarted"]
+                       "sigma_fit", "mu_upd", "sigma_upd", "restarted",
+                       "fit_iterations", "fit_reason"]
     assert len(rows) == summary["iterations"] + 1
 
     sweep_rows = read_csv(out / "sweeps.csv")
@@ -154,9 +156,14 @@ def test_schedule_override(tmp_path):
     ({"initial_t": -0.2}, {}, [], "estimator: initial_t must be positive"),
     ({}, {"seed": -1}, [], "sampler: seed must be non-negative"),
     ({}, {}, ["--seed", "-1"], "--seed: seed must be non-negative"),
+    ({"steps_per_unit_time": -5}, {}, [], "estimator: steps_per_unit_time must be positive"),
+    ({"steps_per_unit_time": 0}, {}, [], "estimator: steps_per_unit_time must be positive"),
+    ({"time_growth_factor": 0}, {}, [], "estimator: time_growth_factor must be positive"),
+    ({"max_iterations": 0}, {}, [], "estimator: max_iterations must be at least 1"),
 ], ids=["zero_step_schedule", "zero_shots", "noisy_mode_flag", "noisy_mode_field",
         "zero_fit_retries", "negative_initial_t", "negative_seed_field",
-        "negative_seed_flag"])
+        "negative_seed_flag", "negative_steps_per_unit_time", "zero_steps_per_unit_time",
+        "zero_time_growth_factor", "zero_max_iterations"])
 def test_bad_override_is_a_config_error(tmp_path, capsys, estimator, sampler, flags,
                                         message):
     out = tmp_path / "out"
@@ -174,6 +181,22 @@ def test_bad_override_is_a_config_error(tmp_path, capsys, estimator, sampler, fl
     assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_iterations_csv_reports_each_fit(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", "replay_linear_chain", "--seed", "1",
+                   "--out", str(out)) == 0
+    rows = [row[-2:] for row in read_csv(out / "iterations.csv")]
+    assert rows[0] == ["fit_iterations", "fit_reason"]
+    assert len(rows) == 5
+    assert all(reason == "converged" and 1 <= int(steps) <= 30 for steps, reason in rows[1:])
+
+    # A fit that never settles ends the run; its row says why.
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    assert run_cli("run", "--config", "replay_linear_chain", "--seed", "1",
+                   "--out", str(out)) == 2
+    assert [row[-2:] for row in read_csv(out / "iterations.csv")[1:]] == [["1", "not_settled"]]
 
 
 def test_report_reuses_the_run_blocks(tmp_path):

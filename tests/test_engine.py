@@ -407,3 +407,12 @@ def test_estimator_config_validation():
         EstimatorConfig(initial_t=0.0)
     with pytest.raises(ValueError, match="fit_retry_limit"):
         EstimatorConfig(fit_retry_limit=0)
+    for steps in (0.0, -5.0):
+        with pytest.raises(ValueError, match="steps_per_unit_time"):
+            EstimatorConfig(steps_per_unit_time=steps)
+    for growth in (0.0, -1.0):
+        with pytest.raises(ValueError, match="time_growth_factor"):
+            EstimatorConfig(time_growth_factor=growth)
+    for iterations in (0, -3):
+        with pytest.raises(ValueError, match="max_iterations"):
+            EstimatorConfig(max_iterations=iterations)

@@ -1,4 +1,7 @@
 """Gaussian surrogate fitting and belief updates."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,13 @@ CAPPED_FRINGES = [(2.0, 0.2, 0.0, 10.0), (3.0, 0.4, 2.5, 4.0),
 def _capped_fringe(gap, t, centre, half_width):
     x = np.linspace(centre - half_width, centre + half_width, 21)
     return x, 0.5 * (1.0 + np.cos((gap - x) * t))
+
+
+# Sweeps fitted at an earlier commit, with that commit's outcome; see the
+# file's description.
+REPLAY_FITS = json.loads((Path(__file__).parent / "data" / "fit_replay.json")
+                         .read_text())["fits"]
+CONVERGED_REPLAY_FITS = [r for r in REPLAY_FITS if r["reason"] == "converged"]
 
 
 def test_recovers_exact_gaussian_parameters():
@@ -110,7 +120,72 @@ def test_capped_fringe_fit_reaches_the_weighted_minimum(fringe):
 def test_capped_fringe_fit_settles_in_few_steps(fringe):
     fit = fit_gaussian(*_capped_fringe(*fringe))
     assert fit.reason == "converged"
-    assert fit.iterations <= 25
+    assert fit.iterations <= 6
+
+
+def test_full_period_fringe_does_not_creep_along_the_sigma_valley():
+    # `qpde run --config replay_linear_chain --seed 1`, t = 4.2, exact gap
+    # 1.0: a full fringe period, along which a linearly converging fit
+    # creeps towards sigma -> infinity until MAX_ITERATIONS.
+    x = np.linspace(0.2501242499085974, 1.7485465139611944, 21)
+    y = np.array([0.0, 0.0232, 0.0996, 0.2082, 0.3366, 0.4976, 0.654, 0.794, 0.9034,
+                  0.9784, 1.0, 0.9782, 0.9128, 0.7942, 0.6588, 0.492, 0.3516, 0.215,
+                  0.0908, 0.0256, 0.0])
+    fit = fit_gaussian(x, y, fallback_sigma=0.37460556601314926)
+    assert fit.reason == "converged"
+    assert fit.iterations <= 10
+    assert fit.mu == pytest.approx(1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("record", CONVERGED_REPLAY_FITS,
+                         ids=[f"{r['workload']}-{k}" for k, r in enumerate(CONVERGED_REPLAY_FITS)])
+def test_recorded_fit_replays_to_the_same_minimum(record):
+    x, y = np.array(record["x"]), np.array(record["y"])
+    fit = fit_gaussian(x, y, fallback_sigma=record["fallback_sigma"])
+    assert fit.reason == "converged"
+    residual = gaussian_model(x, fit.offset, fit.amplitude, fit.mu, fit.sigma) - y
+    assert np.sum(y ** 2 * residual ** 2) <= record["cost"] * (1 + 1e-8)
+    span = x[-1] - x[0]
+    assert abs(fit.mu - record["mu"]) <= 1e-5 * span
+    assert abs(fit.sigma - record["sigma"]) <= 1e-5 * span
+
+
+def test_recorded_fits_take_fewer_steps():
+    steps = sum(fit_gaussian(np.array(r["x"]), np.array(r["y"]), r["fallback_sigma"]).iterations
+                for r in CONVERGED_REPLAY_FITS)
+    assert steps < 0.5 * sum(r["iterations"] for r in CONVERGED_REPLAY_FITS)
+
+
+def test_newton_matrix_matches_finite_difference_hessian():
+    # The Hessian of sum(w r^2) / 2 by central differences, against the
+    # analytic residual curvature added to a finite-difference J^T W J.
+    rng = np.random.default_rng(10)
+    x = np.linspace(-1.5, 2.5, 21)
+    for _ in range(20):
+        theta = np.array([rng.uniform(0.0, 0.5), rng.uniform(0.05, 0.5),
+                          rng.uniform(-1.0, 2.0), rng.uniform(0.2, 3.0)])
+        y = np.clip(0.5 * (1 + np.cos((rng.uniform(0, 1) - x) * rng.uniform(0.3, 2)))
+                    + rng.normal(0, 0.02, x.size), 0, 1)
+        weights = y ** 2
+
+        def residual(th):
+            return gaussian_model(x, *th) - y
+
+        def half_cost(th):
+            return 0.5 * np.sum(weights * residual(th) ** 2)
+
+        h = 1e-4 * np.array([1.0, 1.0, 1.0, theta[3]])
+        eye = np.diag(h)
+        jac = np.column_stack([(residual(theta + e) - residual(theta - e)) / (2 * e.sum())
+                               for e in eye])
+        expected = np.array([[(half_cost(theta + ei + ej) - half_cost(theta + ei - ej)
+                               - half_cost(theta - ei + ej) + half_cost(theta - ei - ej))
+                              / (4 * hi * hj) for ej, hj in zip(eye, h)]
+                             for ei, hi in zip(eye, h)])
+        shape = np.exp(-0.5 * ((x - theta[2]) / theta[3]) ** 2)
+        newton = np.array(fitting._newton_matrix(x, weights * residual(theta), shape,
+                                                 theta.tolist(), (jac * weights[:, None]).T @ jac))
+        assert np.max(np.abs(newton - expected)) <= 1e-5 * np.max(np.abs(expected))
 
 
 def _reference_bounded_step(lhs, gradient, theta, free):
