@@ -3,20 +3,17 @@ interferometry, with exact-diagonalization oracles, Trotterized time
 evolution collapsed to one register block, and shot/noise sampling."""
 
 from .engine import (EstimationResult, EstimatorConfig, IterationRecord,
-                     PriorSpec, SweepPoint, analytic_p0, build_excitation_unitary,
-                     check_restart, default_steps, next_time, qpde_circuit,
-                     qpde_p0, run_estimation, sweep)
+                     PriorSpec, SweepPoint, build_excitation_unitary, check_restart,
+                     default_steps, next_time, run_estimation, sweep)
 from .evolution import (TrotterPlan, evolution_block, exact_evolution, pair_term_unitary,
                         trotter_circuit)
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .optimizer import CostReport, cost_report
-from .sampling import (SamplerSpec, depolarized_overlap, derived_rng,
-                       noisy_trajectory_p0, sample_p0)
+from .sampling import SamplerSpec, depolarized_overlap, derived_rng, sample_p0
 from .spin import (SpectrumReport, SpinEigenfunction, SpinSystem, build_hamiltonian,
                    exact_gap, linear_chain, named_state, spin_eigenbasis,
                    spin_eigenfunction, spin_squared, spin_z, system_eigensystem,
-                   to_spin_eigenbasis, triangle, two_spin_system)
-from .statevector import (Circuit, Gate, Statevector, ancilla_p0, apply_gate,
-                          circuit_unitary, inner_product, run_circuit)
+                   triangle, two_spin_system)
+from .statevector import Circuit, Gate, Statevector
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import traceback
 from importlib import resources
@@ -53,12 +54,14 @@ def _resolve_config_path(spec: str) -> Path:
 
 
 def _typed(value, kind, where: str):
-    """value if it has JSON type kind; a float field also takes an int, and
-    a bool is never a number."""
+    """value if it has JSON type kind; a float field also takes an int, a
+    bool is never a number, and NaN or an infinity is never a float."""
     widened = kind is float and isinstance(value, int)
     if isinstance(value, bool) or not (widened or isinstance(value, kind)):
         raise ConfigError(f"{where}: expected {kind.__name__}, "
                           f"got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value) if widened else value
 
 
@@ -226,14 +229,14 @@ def _write_iterations_csv(path: Path, trace):
         writer = csv.writer(handle)
         writer.writerow(["t", "n_steps", "mu_ini", "sigma_ini", "mu_fit",
                          "sigma_fit", "mu_upd", "sigma_upd", "restarted",
-                         "fit_iterations", "fit_reason"])
+                         "fit_iterations", "fit_reason", "fit_attempts"])
         for row in trace:
             writer.writerow([repr(row.t), row.n_steps, repr(row.prior.mu),
                              repr(row.prior.sigma), repr(row.fit.mu),
                              repr(row.fit.sigma), repr(row.posterior.mu),
                              repr(row.posterior.sigma),
                              "true" if row.restarted else "false",
-                             row.fit.iterations, row.fit.reason])
+                             row.fit.iterations, row.fit.reason, row.fit_attempts])
 
 
 def _write_sweeps_csv(path: Path, trace):
@@ -280,6 +283,7 @@ def cmd_run(args) -> int:
     summary = {
         "final": {"mu": result.final.mu, "sigma": result.final.sigma},
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "exact_gap": result.exact_gap,
         "accuracy": result.accuracy,
         "seed": cfg["sampler"].seed,

@@ -14,9 +14,9 @@ that `evolution.evolution_block` builds and caches, gives a whole sweep
 grid in one array expression.  For eigenstate preparations this is the
 pure interference fringe p0 = (1 + cos((gap - delta_eps) t)) / 2, so
 scanning delta_eps and locating the peak reads off the gap directly.
-`qpde_circuit` builds the literal interferometer circuit, and
-`analytic_p0` evaluates the general mixture formula; both are
-independent references for the fringe.
+`sweep` evaluates one such grid on its own.  The literal interferometer
+circuit and the general eigenstate-mixture formula, the independent
+references for the fringe, are test oracles (`tests/oracles.py`).
 
 Shots mode draws one binomial count per grid point from the fringe.
 Noisy mode draws it from the depolarized fringe instead: its mean overlap
@@ -33,7 +33,10 @@ mean outside the +-lambda_restart * sigma window triggers an adaptive
 restart: the fitted mean becomes the new prior mean, the prior sigma and
 the current (t, n_steps) are kept.  Otherwise the evolution time grows on a
 half-cycle schedule t ~ pi / (2 sigma) until the posterior sigma drops
-below the convergence threshold.
+below the convergence threshold.  `EstimationResult.stop_reason` says how
+a run ended: "converged", "max_iterations", "restart_limit" (that many
+restarts in a row), "fit_failed" (every retry of a fit failed) or
+"schedule_end" (an explicit schedule ran out first).
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussia
 from .sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
                        sample_p0)
 from .spin import SpinSystem, exact_gap, named_state
-from .statevector import HADAMARD, Circuit, Gate, Statevector, phase_shift
+from .statevector import Statevector
 
 ORTHOGONALITY_ATOL = 1e-10
 
@@ -103,7 +106,7 @@ class EstimatorConfig:
         if self.explicit_schedule is not None:
             sched = tuple((float(t), int(n)) for t, n in self.explicit_schedule)
             for t, n in sched:
-                if t <= 0 or n < 1:
+                if not (math.isfinite(t) and t > 0) or n < 1:
                     raise ValueError(f"bad schedule entry ({t}, {n})")
             object.__setattr__(self, "explicit_schedule", sched)
 
@@ -124,15 +127,20 @@ class IterationRecord:
     posterior: GaussianEstimate
     restarted: bool
     points: tuple[SweepPoint, ...] = ()
+    fit_attempts: int = 1
 
 
 @dataclass
 class EstimationResult:
     final: GaussianEstimate
     trace: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
     exact_gap: float | None = None
     accuracy: float | None = None
+    stop_reason: str = "max_iterations"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def build_excitation_unitary(phi0: Statevector, phi1: Statevector) -> np.ndarray:
@@ -159,24 +167,6 @@ def build_excitation_unitary(phi0: Statevector, phi1: Statevector) -> np.ndarray
             + np.eye(dim, dtype=complex) - np.outer(a, a.conj()) - np.outer(b, b.conj()))
 
 
-def qpde_circuit(system: SpinSystem, excitation: np.ndarray, t: float,
-                 delta_eps: float, evolution: str = "exact",
-                 n_steps: int | None = None) -> Circuit:
-    """Interferometer circuit on n_spins register qubits plus one ancilla
-    (the last qubit)."""
-    n = system.n_spins
-    ancilla = n
-    register = tuple(range(n))
-    circuit = Circuit(n + 1)
-    circuit.append(Gate.single(ancilla, HADAMARD))
-    circuit.append(Gate.controlled(ancilla, register, excitation))
-    circuit.append(evolution_block(system, t, evolution, n_steps))
-    circuit.append(Gate.controlled(ancilla, register, excitation.conj().T))
-    circuit.append(Gate.single(ancilla, phase_shift(delta_eps * t)))
-    circuit.append(Gate.single(ancilla, HADAMARD))
-    return circuit
-
-
 def _branch_overlap(phi0: Statevector, excitation: np.ndarray, system: SpinSystem,
                     t: float, evolution: str, n_steps: int | None) -> complex:
     """z = <U phi0| E^dag U E phi0>: the two interferometer branches after
@@ -185,35 +175,6 @@ def _branch_overlap(phi0: Statevector, excitation: np.ndarray, system: SpinSyste
     chi0 = evolved @ phi0.amplitudes
     chi1 = evolved @ (excitation @ phi0.amplitudes)
     return complex(np.vdot(chi0, excitation.conj().T @ chi1))
-
-
-def qpde_p0(phi0: Statevector, phi1: Statevector, system: SpinSystem, t: float,
-            delta_eps: float, evolution: str = "exact",
-            n_steps: int | None = None,
-            excitation: np.ndarray | None = None) -> float:
-    """Ancilla |0> probability of one interferometer run (ideal, no shots)."""
-    if phi0.n_qubits != system.n_spins:
-        raise ValueError("preparation state does not match the system size")
-    if excitation is None:
-        excitation = build_excitation_unitary(phi0, phi1)
-    z = _branch_overlap(phi0, excitation, system, t, evolution, n_steps)
-    return float(fringe_p0(z, delta_eps * t))
-
-
-def analytic_p0(coeffs_c: np.ndarray, coeffs_d: np.ndarray, energies: np.ndarray,
-                t: float, delta_eps: float) -> float:
-    """Interference probability from eigenstate overlaps:
-
-        p0 = [1 + sum_jk |c_j|^2 |d_k|^2 cos((E_k - E_j - delta_eps) t)] / 2
-    """
-    c2 = np.abs(np.asarray(coeffs_c)) ** 2
-    d2 = np.abs(np.asarray(coeffs_d)) ** 2
-    if abs(c2.sum() - 1.0) > 1e-10 or abs(d2.sum() - 1.0) > 1e-10:
-        raise ValueError("overlap coefficients must be normalized")
-    energies = np.asarray(energies, dtype=float)
-    gaps = energies[None, :] - energies[:, None]
-    weights = np.outer(c2, d2)
-    return float(0.5 * (1.0 + np.sum(weights * np.cos((gaps - delta_eps) * t))))
 
 
 def sweep_grid(prior_mu: float, prior_sigma: float, grid_points: int) -> np.ndarray:
@@ -324,15 +285,15 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
     belief = GaussianEstimate(prior.mu, prior.sigma)
     belief_is_uniform = prior.shape == "uniform"
     trace: list[IterationRecord] = []
-    converged = False
+    stop_reason = "max_iterations"
     consecutive_restarts = 0
     # An exact sweep ignores the attempt index, so a retry would repeat it.
-    fit_attempts = 1 if sampler.mode == "exact" else config.fit_retry_limit
+    max_attempts = 1 if sampler.mode == "exact" else config.fit_retry_limit
 
     for iteration in range(config.max_iterations):
         grid = sweep_grid(belief.mu, belief.sigma, config.grid_points)
         fit = None
-        for attempt in range(fit_attempts):
+        for attempt in range(max_attempts):
             points = evaluator.run(t, n_steps, grid, iteration, attempt)
             fit = fit_gaussian(np.array([p.delta_eps for p in points]),
                                np.array([p.p0 for p in points]),
@@ -343,7 +304,8 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
         if not fit.converged:
             # Fit failed on every retry: stop and report the trace as-is.
             trace.append(IterationRecord(t, n_steps, belief, fit, belief, False,
-                                         tuple(points)))
+                                         tuple(points), attempt + 1))
+            stop_reason = "fit_failed"
             break
 
         if check_restart(belief, fit.mu, config.lambda_restart):
@@ -351,8 +313,9 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
             consecutive_restarts += 1
             carried = GaussianEstimate(fit.mu, belief.sigma)
             trace.append(IterationRecord(t, n_steps, belief, fit, carried, True,
-                                         tuple(points)))
+                                         tuple(points), attempt + 1))
             if consecutive_restarts >= config.restart_limit:
+                stop_reason = "restart_limit"
                 break
             belief = carried
             continue
@@ -364,16 +327,17 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
         else:
             posterior = multiply_gaussians(belief, fit.estimate())
         trace.append(IterationRecord(t, n_steps, belief, fit, posterior, False,
-                                     tuple(points)))
+                                     tuple(points), attempt + 1))
         belief = posterior
 
         if posterior.sigma < config.e_thre:
-            converged = True
+            stop_reason = "converged"
             break
 
         if schedule:
             schedule_index += 1
             if schedule_index >= len(schedule):
+                stop_reason = "schedule_end"
                 break
             t, n_steps = schedule[schedule_index]
         else:
@@ -382,5 +346,5 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
     accuracy = None
     if reference_gap:
         accuracy = 1.0 - abs(belief.mu - reference_gap) / abs(reference_gap)
-    return EstimationResult(final=belief, trace=trace, converged=converged,
-                            exact_gap=reference_gap, accuracy=accuracy)
+    return EstimationResult(final=belief, trace=trace, exact_gap=reference_gap,
+                            accuracy=accuracy, stop_reason=stop_reason)

@@ -18,7 +18,8 @@ counts.  The exact propagator comes from the cached spectrum in `spin`.
 However many steps it holds, an evolution segment on the register is one
 fixed-size block, built and cached only by `evolution_block`: the exact
 propagator, or the one-step block raised to the n_steps power.  The
-interferometer, its literal circuit and the CLI's cost report all use it.
+interferometer and the CLI's cost report use it, and so does the literal
+interferometer circuit of the test oracles.
 """
 from __future__ import annotations
 

@@ -26,7 +26,7 @@ def cost_report(circuit: Circuit, repeats: int = 1) -> CostReport:
     """Cost of `repeats` back-to-back copies of the circuit, walked on the
     gates' qubit supports.  Once a copy deepens every qubit it touches by
     the same amount, each later copy does too, so the walk stops there."""
-    supports = [gate.support for gate in circuit.gates]
+    supports = [gate.targets for gate in circuit.gates]
     touched = {q for support in supports for q in support}
     frontier = [0] * circuit.n_qubits
     skipped_depth = 0

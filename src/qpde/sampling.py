@@ -16,9 +16,9 @@ see the same register operations, so z is linear in the branch coherence
 X = U_swap |phi_0><phi_0| and E[z] = tr(U_swap^dag Phi(X)) for the
 depolarizing channel Phi of the evolution.  `depolarized_overlap`
 computes it exactly from one Trotter step's superoperator, written as a
-real Pauli transfer matrix, raised to the step count.
-`noisy_trajectory_p0` is the literal, gate-by-gate trajectory average
-for an arbitrary circuit, the reference the channel is checked against.
+real Pauli transfer matrix, raised to the step count.  The literal,
+gate-by-gate trajectory average that the channel is checked against is
+a test oracle (`tests/oracles.py`).
 """
 from __future__ import annotations
 
@@ -27,8 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevector import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, Gate,
-                          Statevector, ancilla_p0, apply_gate, apply_matrix)
+from .statevector import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, apply_matrix
 
 
 @dataclass(frozen=True)
@@ -78,34 +77,6 @@ def sample_p0(true_p: float, shots: int, rng: np.random.Generator) -> float:
     if not 0.0 <= true_p <= 1.0:
         raise ValueError(f"probability {true_p!r} outside [0, 1]")
     return float(rng.binomial(shots, true_p)) / shots
-
-
-def _random_pauli_gate(pair: tuple[int, int], rng: np.random.Generator) -> Gate:
-    return Gate.two(pair[0], pair[1], TWO_QUBIT_PAULIS[rng.integers(15)])
-
-
-def noisy_trajectory_p0(circuit: Circuit, p_depol: float, rng: np.random.Generator,
-                        shots: int, ancilla_index: int,
-                        initial_state: Statevector | None = None) -> float:
-    """Average ancilla |0> probability over stochastic Pauli trajectories.
-
-    With p_depol = 0 every trajectory is the noiseless circuit and the
-    exact probability is returned.
-    """
-    if not 0.0 <= p_depol <= 1.0:
-        raise ValueError("p_depol must lie in [0, 1]")
-    if initial_state is None:
-        initial_state = Statevector.basis_state(circuit.n_qubits, 0)
-    n_trajectories = 1 if p_depol == 0 else shots  # noiseless trajectories are identical
-    total = 0.0
-    for _ in range(n_trajectories):
-        state = initial_state
-        for gate in circuit.gates:
-            state = apply_gate(state, gate)
-            if len(gate.support) == 2 and p_depol > 0 and rng.random() < p_depol:
-                state = apply_gate(state, _random_pauli_gate(gate.support, rng))
-        total += ancilla_p0(state, ancilla_index)
-    return total / n_trajectories
 
 
 @lru_cache(maxsize=4)

@@ -290,17 +290,6 @@ def spin_eigenbasis(n: int) -> list[SpinEigenfunction]:
     return basis
 
 
-def to_spin_eigenbasis(hamiltonian: np.ndarray, basis: list[SpinEigenfunction]) -> np.ndarray:
-    """Congruence transform V^T H V for an orthonormal eigenfunction basis."""
-    v = np.column_stack([b.coefficients for b in basis])
-    if v.shape[0] != v.shape[1]:
-        raise ValueError("basis does not span the space")
-    gram = v.T @ v
-    if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-10:
-        raise ValueError("basis is not orthonormal")
-    return v.T @ hamiltonian @ v
-
-
 #: Eigenvalues closer than this form one degenerate eigenspace.
 DEGENERACY_ATOL = 1e-9
 

@@ -1,0 +1,178 @@
+"""Literal references the package's fast paths are checked against.
+
+None of this runs in an estimation.  `qpde_circuit` is the interferometer
+gate by gate: Hadamard on the ancilla, controlled excitation swap, the
+register evolution block, controlled inverse swap, trial phase, Hadamard.
+`run_circuit` and `circuit_unitary` apply such a circuit one gate at a
+time, `ancilla_p0` reads the ancilla, `analytic_p0` is the closed-form
+mixture formula and `noisy_trajectory_p0` averages stochastic Pauli
+trajectories of a circuit, the literal form of the depolarizing channel.
+Single-qubit gates are one-target register gates, and a controlled
+register unitary is one full-width register gate with its control as the
+last target.  Qubit and ancilla conventions follow `qpde.statevector`.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from qpde.evolution import evolution_block
+from qpde.sampling import TWO_QUBIT_PAULIS
+from qpde.spin import SpinEigenfunction, SpinSystem
+from qpde.statevector import Circuit, Gate, Statevector, apply_matrix
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_PROJECT_0 = np.diag([1.0, 0.0]).astype(complex)
+_PROJECT_1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def phase_shift(angle: float) -> np.ndarray:
+    """diag(1, e^{i*angle}): the trial-phase rotation on the ancilla."""
+    return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=complex)
+
+
+def basis_state(n_qubits: int, index: int) -> Statevector:
+    amps = np.zeros(2 ** n_qubits, dtype=complex)
+    amps[index] = 1.0
+    return Statevector(amps, n_qubits)
+
+
+def from_amplitudes(amplitudes) -> Statevector:
+    amps = np.asarray(amplitudes, dtype=complex)
+    n = int(round(np.log2(amps.size)))
+    return Statevector(amps, n)
+
+
+def tensor(state: Statevector, other: Statevector) -> Statevector:
+    """Product state with `other` appended on the least significant side."""
+    return Statevector(np.kron(state.amplitudes, other.amplitudes),
+                       state.n_qubits + other.n_qubits)
+
+
+def controlled(control: int, targets, matrix) -> Gate:
+    """Register unitary applied iff qubit `control` is |1>, as one gate on
+    the targets followed by the control."""
+    matrix = np.asarray(matrix, dtype=complex)
+    full = (np.kron(matrix, _PROJECT_1)
+            + np.kron(np.eye(len(matrix), dtype=complex), _PROJECT_0))
+    return Gate.register(tuple(targets) + (control,), full)
+
+
+def apply_gate(state: Statevector, gate: Gate) -> Statevector:
+    """Return the state after the embedded unitary; norm is preserved."""
+    n = state.n_qubits
+    for q in gate.targets:
+        if not 0 <= q < n:
+            raise ValueError(f"gate target {q} out of range for {n}-qubit state")
+    return Statevector(apply_matrix(state.amplitudes, gate.matrix, gate.targets, n), n)
+
+
+def run_circuit(state: Statevector, circuit: Circuit) -> Statevector:
+    if circuit.n_qubits != state.n_qubits:
+        raise ValueError("circuit and state widths differ")
+    for gate in circuit.gates:
+        state = apply_gate(state, gate)
+    return state
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full 2^n x 2^n unitary of the circuit: every gate applied once to
+    the whole identity block."""
+    n = circuit.n_qubits
+    u = np.eye(2 ** n, dtype=complex)
+    for gate in circuit.gates:
+        u = apply_matrix(u, gate.matrix, gate.targets, n)
+    return u
+
+
+def ancilla_p0(state: Statevector, ancilla_index: int) -> float:
+    """Probability of reading |0> on the given qubit."""
+    n = state.n_qubits
+    if not 0 <= ancilla_index < n:
+        raise ValueError(f"ancilla index {ancilla_index} out of range")
+    probs = np.abs(state.amplitudes.reshape([2] * n)) ** 2
+    probs = np.moveaxis(probs, ancilla_index, 0)
+    return float(np.sum(probs[0]))
+
+
+def qpde_circuit(system: SpinSystem, excitation: np.ndarray, t: float,
+                 delta_eps: float, evolution: str = "exact",
+                 n_steps: int | None = None) -> Circuit:
+    """Interferometer circuit on n_spins register qubits plus one ancilla
+    (the last qubit)."""
+    n = system.n_spins
+    ancilla = n
+    register = tuple(range(n))
+    circuit = Circuit(n + 1)
+    circuit.append(Gate.register((ancilla,), HADAMARD))
+    circuit.append(controlled(ancilla, register, excitation))
+    circuit.append(evolution_block(system, t, evolution, n_steps))
+    circuit.append(controlled(ancilla, register, excitation.conj().T))
+    circuit.append(Gate.register((ancilla,), phase_shift(delta_eps * t)))
+    circuit.append(Gate.register((ancilla,), HADAMARD))
+    return circuit
+
+
+def circuit_p0(phi0: Statevector, excitation: np.ndarray, system: SpinSystem,
+               t: float, delta_eps: float, evolution: str = "exact",
+               n_steps: int | None = None) -> float:
+    """Ancilla |0> probability of the literal circuit run on phi0 (x) |0>."""
+    circuit = qpde_circuit(system, excitation, t, delta_eps, evolution, n_steps)
+    final = run_circuit(tensor(phi0, basis_state(1, 0)), circuit)
+    return ancilla_p0(final, system.n_spins)
+
+
+def analytic_p0(coeffs_c: np.ndarray, coeffs_d: np.ndarray, energies: np.ndarray,
+                t: float, delta_eps: float) -> float:
+    """Interference probability from eigenstate overlaps:
+
+        p0 = [1 + sum_jk |c_j|^2 |d_k|^2 cos((E_k - E_j - delta_eps) t)] / 2
+    """
+    c2 = np.abs(np.asarray(coeffs_c)) ** 2
+    d2 = np.abs(np.asarray(coeffs_d)) ** 2
+    if abs(c2.sum() - 1.0) > 1e-10 or abs(d2.sum() - 1.0) > 1e-10:
+        raise ValueError("overlap coefficients must be normalized")
+    energies = np.asarray(energies, dtype=float)
+    gaps = energies[None, :] - energies[:, None]
+    weights = np.outer(c2, d2)
+    return float(0.5 * (1.0 + np.sum(weights * np.cos((gaps - delta_eps) * t))))
+
+
+def _random_pauli_gate(pair: tuple[int, int], rng: np.random.Generator) -> Gate:
+    return Gate.two(pair[0], pair[1], TWO_QUBIT_PAULIS[rng.integers(15)])
+
+
+def noisy_trajectory_p0(circuit: Circuit, p_depol: float, rng: np.random.Generator,
+                        shots: int, ancilla_index: int,
+                        initial_state: Statevector | None = None) -> float:
+    """Average ancilla |0> probability over stochastic Pauli trajectories.
+
+    After every gate on exactly two qubits, with probability p_depol a
+    uniformly random non-identity two-qubit Pauli acts on its pair.  With
+    p_depol = 0 every trajectory is the noiseless circuit and the exact
+    probability is returned.
+    """
+    if not 0.0 <= p_depol <= 1.0:
+        raise ValueError("p_depol must lie in [0, 1]")
+    if initial_state is None:
+        initial_state = basis_state(circuit.n_qubits, 0)
+    n_trajectories = 1 if p_depol == 0 else shots  # noiseless trajectories are identical
+    total = 0.0
+    for _ in range(n_trajectories):
+        state = initial_state
+        for gate in circuit.gates:
+            state = apply_gate(state, gate)
+            if len(gate.targets) == 2 and p_depol > 0 and rng.random() < p_depol:
+                state = apply_gate(state, _random_pauli_gate(gate.targets, rng))
+        total += ancilla_p0(state, ancilla_index)
+    return total / n_trajectories
+
+
+def to_spin_eigenbasis(hamiltonian: np.ndarray, basis: list[SpinEigenfunction]) -> np.ndarray:
+    """Congruence transform V^T H V for an orthonormal eigenfunction basis."""
+    v = np.column_stack([b.coefficients for b in basis])
+    if v.shape[0] != v.shape[1]:
+        raise ValueError("basis does not span the space")
+    gram = v.T @ v
+    if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-10:
+        raise ValueError("basis is not orthonormal")
+    return v.T @ hamiltonian @ v

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import qpde.engine as engine
-from qpde.engine import (EstimatorConfig, PriorSpec, analytic_p0, qpde_p0,
+from oracles import (analytic_p0, circuit_p0, circuit_unitary, from_amplitudes,
+                     to_spin_eigenbasis)
+from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
                          run_estimation)
 from qpde.evolution import TrotterPlan, evolution_block, exact_evolution, trotter_circuit
 from qpde.fitting import FitResult
@@ -18,9 +20,8 @@ from qpde.optimizer import cost_report
 from qpde.sampling import SamplerSpec
 from qpde.spin import (build_hamiltonian, exact_gap, linear_chain, named_state,
                        spin_eigenbasis, spin_eigenfunction, spin_squared,
-                       system_eigensystem, to_spin_eigenbasis, triangle,
-                       two_spin_system)
-from qpde.statevector import Circuit, Statevector, circuit_unitary
+                       system_eigensystem, triangle, two_spin_system)
+from qpde.statevector import Circuit
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -80,11 +81,12 @@ def test_criterion_2_circuit_matches_mixture_formula():
             system = triangle(*(float(j) for j in rng.uniform(-2, 2, size=3)))
         values, vectors = system_eigensystem(system)
         j, k = rng.choice(values.size, size=2, replace=False)
-        phi0 = Statevector.from_amplitudes(vectors[:, j])
-        phi1 = Statevector.from_amplitudes(vectors[:, k])
+        phi0 = from_amplitudes(vectors[:, j])
+        phi1 = from_amplitudes(vectors[:, k])
         t = float(rng.uniform(0, 5))
         delta = float(rng.uniform(-10, 10))
-        circuit_value = qpde_p0(phi0, phi1, system, t, delta)
+        circuit_value = circuit_p0(phi0, build_excitation_unitary(phi0, phi1), system,
+                                   t, delta)
         c = np.zeros(values.size)
         c[j] = 1.0
         d = np.zeros(values.size)

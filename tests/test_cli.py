@@ -32,13 +32,14 @@ def test_run_two_spin_exact_mode(tmp_path, capsys):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
+    assert summary["stop_reason"] == "converged"
     assert abs(summary["final"]["mu"] - 2.0) <= 0.05
     assert summary["exact_gap"] == pytest.approx(2.0, abs=1e-9)
 
     rows = read_csv(out / "iterations.csv")
     assert rows[0] == ["t", "n_steps", "mu_ini", "sigma_ini", "mu_fit",
                        "sigma_fit", "mu_upd", "sigma_upd", "restarted",
-                       "fit_iterations", "fit_reason"]
+                       "fit_iterations", "fit_reason", "fit_attempts"]
     assert len(rows) == summary["iterations"] + 1
 
     sweep_rows = read_csv(out / "sweeps.csv")
@@ -183,20 +184,57 @@ def test_bad_override_is_a_config_error(tmp_path, capsys, estimator, sampler, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value, flags, message", [
+    ("prior", "mu", float("nan"), [], "prior.mu: expected a finite number, got nan"),
+    ("estimator", "e_thre", float("inf"), [],
+     "estimator.e_thre: expected a finite number, got inf"),
+    ("system", "couplings", [[1, 2, float("nan")]], [],
+     "system.couplings[0]: expected a finite number, got nan"),
+    ("estimator", "explicit_schedule", [[float("-inf"), 3]], [],
+     "estimator.explicit_schedule[0]: expected a finite number, got -inf"),
+    (None, None, None, ["--schedule", "nan:3"], "--schedule: bad schedule entry (nan, 3)"),
+], ids=["nan_prior_mu", "infinite_e_thre", "nan_coupling", "infinite_schedule_time",
+        "nan_schedule_flag"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, value,
+                                             flags, message):
+    # Python's json reads NaN and Infinity; no field takes them.
+    out = tmp_path / "out"
+    config = {
+        "system": {"n_spins": 2, "couplings": [[1, 2, 1.0]]},
+        "ground_label": "T", "excited_label": "S",
+        "prior": {"shape": "gaussian", "mu": 0.0, "sigma": 10.0},
+        "sampler": {"mode": "shots"},
+    }
+    if section is not None:
+        config.setdefault(section, {})[key] = value
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(path), "--out", str(out), *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_iterations_csv_reports_each_fit(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert run_cli("run", "--config", "replay_linear_chain", "--seed", "1",
                    "--out", str(out)) == 0
-    rows = [row[-2:] for row in read_csv(out / "iterations.csv")]
-    assert rows[0] == ["fit_iterations", "fit_reason"]
+    rows = [row[-3:] for row in read_csv(out / "iterations.csv")]
+    assert rows[0] == ["fit_iterations", "fit_reason", "fit_attempts"]
     assert len(rows) == 5
-    assert all(reason == "converged" and 1 <= int(steps) <= 30 for steps, reason in rows[1:])
+    assert all(reason == "converged" and 1 <= int(steps) <= 30 and attempts == "1"
+               for steps, reason, attempts in rows[1:])
+    assert json.loads((out / "summary.json").read_text())["stop_reason"] == "converged"
 
-    # A fit that never settles ends the run; its row says why.
+    # A fit that never settles ends the run, after every retry; its row
+    # says why, and the summary says how the run ended.
     monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
     assert run_cli("run", "--config", "replay_linear_chain", "--seed", "1",
                    "--out", str(out)) == 2
-    assert [row[-2:] for row in read_csv(out / "iterations.csv")[1:]] == [["1", "not_settled"]]
+    assert [row[-3:] for row in read_csv(out / "iterations.csv")[1:]] == [
+        ["1", "not_settled", "3"]]
+    assert json.loads((out / "summary.json").read_text())["stop_reason"] == "fit_failed"
 
 
 def test_report_reuses_the_run_blocks(tmp_path):
@@ -225,6 +263,7 @@ def test_nonconvergence_exits_two(tmp_path):
     assert run_cli("run", "--config", str(path)) == 2
     summary = json.loads((tmp_path / "short" / "summary.json").read_text())
     assert summary["converged"] is False
+    assert summary["stop_reason"] == "max_iterations"
 
 
 def test_optimize_writes_report(tmp_path):

@@ -3,22 +3,36 @@ import numpy as np
 import pytest
 
 import qpde.engine as engine
-from qpde.engine import (EstimatorConfig, PriorSpec, analytic_p0,
-                         build_excitation_unitary, check_restart, default_steps,
-                         next_time, qpde_circuit, qpde_p0, run_estimation, sweep,
-                         sweep_grid)
+from oracles import analytic_p0, circuit_p0, circuit_unitary, from_amplitudes
+from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
+                         check_restart, default_steps, next_time, run_estimation,
+                         sweep, sweep_grid)
 from qpde.evolution import TrotterPlan, evolution_block, trotter_circuit
 from qpde.fitting import FitResult, GaussianEstimate
 from qpde.sampling import SamplerSpec
 from qpde.spin import (SpinSystem, linear_chain, named_state, system_eigensystem,
                        triangle, two_spin_system)
-from qpde.statevector import (PAULI_Z, Statevector, ancilla_p0, circuit_unitary,
-                              run_circuit)
+from qpde.statevector import PAULI_Z
 
 
 def _states(system, ground, excited):
     return (named_state(ground, system.n_spins).to_statevector(),
             named_state(excited, system.n_spins).to_statevector())
+
+
+def _sweep_p0(phi0, phi1, system, t, centre, evolution="exact", n_steps=None,
+              half_width=1.0, grid_points=5):
+    """(delta_eps, ideal p0) of a production sweep across centre +- half_width."""
+    points = sweep(phi0, phi1, system, t, PriorSpec("gaussian", centre, half_width),
+                   EstimatorConfig(evolution=evolution, grid_points=grid_points),
+                   SamplerSpec(mode="exact"), n_steps=n_steps)
+    return [(point.delta_eps, point.p0) for point in points]
+
+
+def _centre_p0(*args, **kwargs):
+    """Ideal p0 of a production sweep at its centre delta_eps."""
+    points = _sweep_p0(*args, **kwargs)
+    return points[len(points) // 2][1]
 
 
 def test_excitation_unitary_swaps_and_reflects():
@@ -43,8 +57,8 @@ def test_excitation_unitary_three_spin_pair():
 
 
 def test_excitation_unitary_rejects_non_orthogonal():
-    phi0 = Statevector.from_amplitudes([1.0, 0.0])
-    tilted = Statevector.from_amplitudes([np.sqrt(0.02), np.sqrt(0.98)])
+    phi0 = from_amplitudes([1.0, 0.0])
+    tilted = from_amplitudes([np.sqrt(0.02), np.sqrt(0.98)])
     with pytest.raises(ValueError, match="orthogonal"):
         build_excitation_unitary(phi0, tilted)
 
@@ -52,18 +66,18 @@ def test_excitation_unitary_rejects_non_orthogonal():
 def test_p0_peaks_exactly_at_the_gap():
     system = two_spin_system(1.0)
     phi0, phi1 = _states(system, "T", "S")
-    assert qpde_p0(phi0, phi1, system, 0.2, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert _centre_p0(phi0, phi1, system, 0.2, 2.0) == pytest.approx(1.0, abs=1e-12)
     # Half a period away the fringe bottoms out.
     t = 0.5
     delta = 2.0 + np.pi / t
-    assert qpde_p0(phi0, phi1, system, t, delta) == pytest.approx(0.0, abs=1e-12)
+    assert _centre_p0(phi0, phi1, system, t, delta) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_p0_matches_cosine_formula():
     system = two_spin_system(1.0)
     phi0, phi1 = _states(system, "T", "S")
-    value = qpde_p0(phi0, phi1, system, 0.2, 0.0)
-    assert value == pytest.approx(0.5 * (1 + np.cos(0.4)), abs=1e-12)
+    for delta, value in _sweep_p0(phi0, phi1, system, 0.2, 0.0, half_width=3.0):
+        assert value == pytest.approx(0.5 * (1 + np.cos((2.0 - delta) * 0.2)), abs=1e-12)
 
 
 def test_circuit_matches_mixture_formula_for_eigenstate_pairs():
@@ -76,11 +90,12 @@ def test_circuit_matches_mixture_formula_for_eigenstate_pairs():
         values, vectors = system_eigensystem(system)
         dim = values.size
         j, k = rng.choice(dim, size=2, replace=False)
-        phi0 = Statevector.from_amplitudes(vectors[:, j])
-        phi1 = Statevector.from_amplitudes(vectors[:, k])
+        phi0 = from_amplitudes(vectors[:, j])
+        phi1 = from_amplitudes(vectors[:, k])
         t = rng.uniform(0, 5)
         delta = rng.uniform(-10, 10)
-        circuit_value = qpde_p0(phi0, phi1, system, t, delta)
+        circuit_value = circuit_p0(phi0, build_excitation_unitary(phi0, phi1), system,
+                                   t, delta)
         c = np.zeros(dim)
         c[j] = 1.0
         d = np.zeros(dim)
@@ -97,11 +112,11 @@ def test_trotter_p0_approaches_exact_p0():
     # than the operator-norm factor of 2).
     system = triangle(1.0, 1.0, 1.0)
     phi0, phi1 = _states(system, "Q", "D2")
-    exact = qpde_p0(phi0, phi1, system, 0.8, 2.2)
+    exact = _centre_p0(phi0, phi1, system, 0.8, 2.2)
     errors = []
     for n_steps in (20, 40, 80):
-        value = qpde_p0(phi0, phi1, system, 0.8, 2.2,
-                        evolution="trotter", n_steps=n_steps)
+        value = _centre_p0(phi0, phi1, system, 0.8, 2.2,
+                           evolution="trotter", n_steps=n_steps)
         errors.append(abs(value - exact))
     assert errors[0] > errors[1] > errors[2]
     for coarse, fine in zip(errors, errors[1:]):
@@ -131,10 +146,10 @@ def test_asymmetric_chain_signal_is_two_component_mixture():
     d = vectors.conj().T @ phi1.amplitudes
     weights = np.abs(d) ** 2
     assert np.sort(weights)[-1] > 0.99  # dominant upper-doublet component
-    for delta in (0.0, 2.5, 3.15, 4.0):
-        circuit_value = qpde_p0(phi0, phi1, system, 1.2, delta)
+    for delta, value in _sweep_p0(phi0, phi1, system, 1.2, 2.0, half_width=2.0,
+                                  grid_points=21):
         formula = analytic_p0(c, d, values, 1.2, delta)
-        assert circuit_value == pytest.approx(formula, abs=1e-9)
+        assert value == pytest.approx(formula, abs=1e-9)
 
 
 def test_sweep_grid_is_inclusive_uniform():
@@ -167,11 +182,9 @@ def test_sweep_matches_literal_circuit(system, ground, excited, evolution):
     prior = PriorSpec("gaussian", 1.5, 4.0)
     points = sweep(phi0, phi1, system, t, prior, EstimatorConfig(evolution=evolution),
                    SamplerSpec(mode="exact"), n_steps=n_steps)
-    init = phi0.tensor(Statevector.basis_state(1, 0))
     for point in points:
-        circuit = qpde_circuit(system, excitation, t, point.delta_eps,
-                               evolution=evolution, n_steps=n_steps)
-        literal = ancilla_p0(run_circuit(init, circuit), system.n_spins)
+        literal = circuit_p0(phi0, excitation, system, t, point.delta_eps,
+                             evolution=evolution, n_steps=n_steps)
         assert point.p0 == pytest.approx(literal, abs=1e-12)
 
 
@@ -249,6 +262,15 @@ def test_explicit_schedule_is_replayed_verbatim():
                             PriorSpec("gaussian", 0.0, 10.0), config)
     assert [(row.t, row.n_steps) for row in result.trace] == list(schedule)
     assert result.converged
+    assert result.stop_reason == "converged"
+    # A schedule that runs out before the threshold is reached says so.
+    result = run_estimation(two_spin_system(1.0), "T", "S",
+                            PriorSpec("gaussian", 0.0, 10.0),
+                            EstimatorConfig(explicit_schedule=schedule[:2],
+                                            evolution="exact"))
+    assert len(result.trace) == 2
+    assert not result.converged
+    assert result.stop_reason == "schedule_end"
 
 
 def test_ideal_run_converges_to_the_gap():
@@ -339,8 +361,10 @@ def test_consecutive_restart_limit_aborts(monkeypatch):
     result = run_estimation(two_spin_system(1.0), "T", "S",
                             PriorSpec("gaussian", 0.0, 10.0), config)
     assert not result.converged
+    assert result.stop_reason == "restart_limit"
     assert len(result.trace) == config.restart_limit
     assert all(row.restarted for row in result.trace)
+    assert all(row.fit_attempts == 1 for row in result.trace)
     # All restart re-runs stayed at the initial (t, n).
     assert {(row.t, row.n_steps) for row in result.trace} == {(0.2, 1)}
 
@@ -361,11 +385,33 @@ def test_failed_fit_aborts_with_diagnostic_trace(monkeypatch):
         result = run_estimation(two_spin_system(1.0), "T", "S",
                                 PriorSpec("gaussian", 0.0, 10.0), config, sampler)
         assert not result.converged
+        assert result.stop_reason == "fit_failed"
         assert len(result.trace) == 1
         assert not result.trace[0].fit.converged
         # An exact sweep is not retried; shot sweeps retry on fresh draws.
         assert len(calls) == fits
         assert len(set(calls)) == fits
+        assert result.trace[0].fit_attempts == fits
+
+
+def test_fit_attempts_count_the_retried_sweeps(monkeypatch):
+    # The first sweep of every iteration fails to fit, its retry succeeds.
+    real_fit = engine.fit_gaussian
+    failed = set()
+
+    def fail_first(x, y, fallback_sigma=None):
+        if tuple(x) not in failed:
+            failed.add(tuple(x))
+            return FitResult(mu=0.0, sigma=1.0, amplitude=0.0, offset=0.0,
+                             converged=False, residual_norm=0.0)
+        return real_fit(x, y, fallback_sigma=fallback_sigma)
+
+    monkeypatch.setattr(engine, "fit_gaussian", fail_first)
+    result = run_estimation(two_spin_system(1.0), "T", "S",
+                            PriorSpec("gaussian", 0.0, 10.0),
+                            sampler=SamplerSpec("shots", 5000, seed=4))
+    assert result.stop_reason == "converged"
+    assert [row.fit_attempts for row in result.trace] == [2] * len(result.trace)
 
 
 def test_convergence_flag_matches_threshold():
@@ -375,6 +421,7 @@ def test_convergence_flag_matches_threshold():
                                 PriorSpec("gaussian", 0.0, 10.0), config)
         assert result.converged == (result.final.sigma < e_thre)
         assert result.converged
+        assert result.stop_reason == "converged"
 
 
 def test_shot_sampled_run_is_deterministic_per_seed():
@@ -403,6 +450,9 @@ def test_estimator_config_validation():
         EstimatorConfig(grid_points=3)
     with pytest.raises(ValueError):
         EstimatorConfig(explicit_schedule=((0.0, 5),))
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bad schedule entry"):
+            EstimatorConfig(explicit_schedule=((0.2, 1), (t, 3)))
     with pytest.raises(ValueError, match="initial_t"):
         EstimatorConfig(initial_t=0.0)
     with pytest.raises(ValueError, match="fit_retry_limit"):

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
+from oracles import circuit_unitary
 from qpde.evolution import TrotterPlan, exact_evolution, pair_term_unitary, trotter_circuit
 from qpde.spin import build_hamiltonian, linear_chain, named_state, triangle, two_spin_system
-from qpde.statevector import circuit_unitary
 
 
 def test_zero_time_is_identity():

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from oracles import controlled
 from qpde.cli import bundled_config_names, load_config
 from qpde.evolution import TrotterPlan, trotter_circuit
 from qpde.optimizer import cost_report
@@ -32,8 +33,8 @@ def test_cost_report_depth_over_dependency_dag():
     gate23 = Gate.two(2, 3, np.eye(4))
     assert cost_report(Circuit(4, [gate01, gate23])).depth == 1
     # Controls participate in the dependency structure.
-    controlled = Gate.controlled(3, (0, 1, 2), np.eye(8))
-    assert cost_report(Circuit(4, [gate01, controlled])).depth == 2
+    gate3_012 = controlled(3, (0, 1, 2), np.eye(8))
+    assert cost_report(Circuit(4, [gate01, gate3_012])).depth == 2
 
 
 def _random_systems(seed):
@@ -64,7 +65,7 @@ def test_repeated_cost_walks_until_copies_deepen_evenly(supports):
     # (0, 1), (1, 2) deepens qubit 0 by 1 and qubits 1, 2 by 2 in its first
     # copy and every qubit by 2 from then on; qubit 2 of the last circuit
     # is never touched.
-    gates = [Gate.two(*s, np.eye(4)) if len(s) == 2 else Gate.single(s[0], np.eye(2))
+    gates = [Gate.two(*s, np.eye(4)) if len(s) == 2 else Gate.register(s, np.eye(2))
              for s in supports]
     for repeats in (1, 2, 5):
         literal = cost_report(Circuit(3, gates * repeats))

@@ -2,18 +2,20 @@
 
 The density-matrix depolarizing channel coded here is the independent
 oracle for `depolarized_overlap`, and the literal trajectory average
-`noisy_trajectory_p0` must reproduce it within Monte Carlo error.
+`oracles.noisy_trajectory_p0` must reproduce it within Monte Carlo error.
 """
 import numpy as np
 import pytest
 
+from oracles import (basis_state, circuit_p0, circuit_unitary, noisy_trajectory_p0,
+                     qpde_circuit, tensor)
 from qpde.engine import (EstimatorConfig, PriorSpec, _branch_overlap,
-                         build_excitation_unitary, qpde_circuit, qpde_p0, sweep)
+                         build_excitation_unitary, sweep)
 from qpde.evolution import TrotterPlan, trotter_circuit
 from qpde.sampling import (TWO_QUBIT_PAULIS, SamplerSpec, depolarized_overlap,
-                           derived_rng, fringe_p0, noisy_trajectory_p0, sample_p0)
+                           derived_rng, fringe_p0, sample_p0)
 from qpde.spin import linear_chain, named_state, triangle, two_spin_system
-from qpde.statevector import Circuit, Gate, Statevector, circuit_unitary
+from qpde.statevector import Circuit, Gate
 
 
 def test_sampler_spec_validation():
@@ -60,10 +62,11 @@ def test_noiseless_trajectory_reduces_to_exact_probability():
     phi0, phi1, excitation = _qpde_setup(system, "T", "S")
     circuit = qpde_circuit(system, excitation, 0.2, 1.1,
                            evolution="trotter", n_steps=1)
-    init = phi0.tensor(Statevector.basis_state(1, 0))
+    init = tensor(phi0, basis_state(1, 0))
     value = noisy_trajectory_p0(circuit, 0.0, derived_rng(0), shots=17,
                                 ancilla_index=2, initial_state=init)
-    expected = qpde_p0(phi0, phi1, system, 0.2, 1.1, evolution="trotter", n_steps=1)
+    expected = circuit_p0(phi0, excitation, system, 0.2, 1.1, evolution="trotter",
+                          n_steps=1)
     assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -93,13 +96,13 @@ def _dm_channel_p0(system, phi0, excitation, t, n_steps, delta, p_depol):
     literal = Circuit(n, [full.gates[0], full.gates[1]]
                       + [Gate.two(*g.targets, g.matrix) for g in evo_gates]
                       + list(full.gates[3:]))
-    state = phi0.tensor(Statevector.basis_state(1, 0)).amplitudes
+    state = tensor(phi0, basis_state(1, 0)).amplitudes
     rho = np.outer(state, state.conj())
     for gate in literal.gates:
         u = circuit_unitary(Circuit(n, [gate]))
         rho = u @ rho @ u.conj().T
-        if len(gate.support) == 2:
-            paulis = [circuit_unitary(Circuit(n, [Gate.two(*gate.support, p)]))
+        if len(gate.targets) == 2:
+            paulis = [circuit_unitary(Circuit(n, [Gate.two(*gate.targets, p)]))
                       for p in TWO_QUBIT_PAULIS]
             mixed = sum(p @ rho @ p.conj().T for p in paulis) / 15
             rho = (1 - p_depol) * rho + p_depol * mixed
@@ -137,7 +140,7 @@ def test_fast_sampler_matches_literal_trajectories():
     literal = Circuit(4, [full.gates[0], full.gates[1]]
                       + [Gate.two(*g.targets, g.matrix) for g in evo_gates]
                       + list(full.gates[3:]))
-    init = phi0.tensor(Statevector.basis_state(1, 0))
+    init = tensor(phi0, basis_state(1, 0))
     literal_mean = noisy_trajectory_p0(literal, p_depol, derived_rng(21), shots=4000,
                                        ancilla_index=3, initial_state=init)
     z = _channel_z(system, phi0, excitation, t, n_steps, p_depol)

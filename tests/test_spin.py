@@ -7,11 +7,11 @@ the test-local Kronecker product of spin matrices.
 import numpy as np
 import pytest
 
+from oracles import to_spin_eigenbasis
 from qpde.spin import (SpinEigenfunction, SpinSystem, build_hamiltonian,
                        exact_gap, linear_chain, named_state, spin_eigenbasis,
                        spin_eigenfunction, spin_squared, spin_z,
-                       system_eigensystem, to_spin_eigenbasis, triangle,
-                       two_spin_system)
+                       system_eigensystem, triangle, two_spin_system)
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
