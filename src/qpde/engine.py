@@ -66,8 +66,9 @@ class PriorSpec:
     def __post_init__(self):
         if self.shape not in ("gaussian", "uniform"):
             raise ValueError(f"prior shape {self.shape!r} not recognized")
-        if not self.sigma > 0:
-            raise ValueError("prior sigma must be positive")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"prior needs a finite mu and a finite positive sigma, "
+                             f"got {self.mu!r} and {self.sigma!r}")
 
 
 @dataclass(frozen=True)

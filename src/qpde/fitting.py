@@ -21,11 +21,12 @@ parameters, and J^T W J otherwise.  A clamped candidate is kept if it
 lowers the cost.  The iteration stops at the constrained minimum, when the
 clamped step is below STEP_ABS in offset and amplitude and STEP_REL of the
 span in mu and sigma, or when 30 damping raises in a row find no lower
-cost.  Numpy computes the residual, Jacobian, moments and normal products
-over the sweep; the 4-parameter algebra (held set, damping, pinning,
-clamp, step test) runs on Python floats, where numpy's dispatch would cost
-more than the arithmetic, and only the definiteness test and the solve
-over the free parameters call LAPACK.
+cost.  Numpy computes the residual and, in one matrix product, the moments
+sum(u^k v) over the sweep from which the gradient, J^T W J and the Hessian
+are assembled; the 4-parameter algebra (held set, damping, Cholesky
+definiteness test and solve, pinning, clamp, step test) runs on Python
+floats, where numpy's dispatch and LAPACK's set-up would cost more than
+the arithmetic.
 """
 from __future__ import annotations
 
@@ -97,23 +98,68 @@ def _fallback(x: np.ndarray, y: np.ndarray, fallback_sigma: float,
                      residual_norm=float(np.linalg.norm(y - np.mean(y))))
 
 
-def _newton_matrix(x: np.ndarray, weighted_residual: np.ndarray, shape: np.ndarray,
-                   theta: list, gauss_newton: np.ndarray) -> list:
-    """Hessian of sum(w r^2) / 2: the Gauss-Newton matrix J^T W J plus the
-    residual curvature sum(w r d2r), which only couples amplitude, mu and
-    sigma; in u = (x - mu) / sigma it is a sum of moments m_k = sum(w r s u^k)."""
-    _, amplitude, mu, sigma = theta
-    u = (x - mu) / sigma
-    m0, m1, m2, m3, m4 = (u ** np.arange(5)[:, None] @ (weighted_residual * shape)).tolist()
-    curvature = amplitude / sigma ** 2
-    hessian = gauss_newton.tolist()
-    for r, c, extra in ((1, 2, m1 / sigma), (1, 3, m2 / sigma),
-                        (2, 3, curvature * (m3 - 2 * m1))):
-        hessian[r][c] += extra
-        hessian[c][r] += extra
-    hessian[2][2] += curvature * (m2 - m0)
-    hessian[3][3] += curvature * (m4 - 3 * m2)
-    return hessian
+def _newton_system(u: np.ndarray, shape: np.ndarray, weights: np.ndarray,
+                   weighted_residual: np.ndarray, weight_sum: float,
+                   amplitude: float, sigma: float) -> tuple[list, list, list]:
+    """Gradient, Gauss-Newton matrix J^T W J and Hessian of sum(w r^2) / 2.
+    The model's derivatives are (1, s, g s u, g s u^2) with g = amplitude /
+    sigma, so every entry is a moment sum(u^k v), v in (w s, w s^2, w r, w r s)."""
+    ws, u2 = weights * shape, u * u
+    ((s0, ss0, r0, rs0), (s1, ss1, _, rs1), (s2, ss2, _, rs2), (_, ss3, _, rs3),
+     (_, ss4, _, rs4)) = (np.array((np.ones(u.size), u, u2, u2 * u, u2 * u2))
+                          @ np.array((ws, ws * shape, weighted_residual,
+                                      weighted_residual * shape)).T).tolist()
+    g = amplitude / sigma
+    gg, curvature = g * g, g / sigma
+    gradient = [r0, rs0, g * rs1, g * rs2]
+    gauss_newton = [[weight_sum, s0, g * s1, g * s2],
+                    [s0, ss0, g * ss1, g * ss2],
+                    [g * s1, g * ss1, gg * ss2, gg * ss3],
+                    [g * s2, g * ss2, gg * ss3, gg * ss4]]
+    a_mu, a_sigma = g * ss1 + rs1 / sigma, g * ss2 + rs2 / sigma
+    mu_sigma = gg * ss3 + curvature * (rs3 - 2 * rs1)
+    hessian = [[weight_sum, s0, g * s1, g * s2],
+               [s0, ss0, a_mu, a_sigma],
+               [g * s1, a_mu, gg * ss2 + curvature * (rs2 - rs0), mu_sigma],
+               [g * s2, a_sigma, mu_sigma, gg * ss4 + curvature * (rs4 - 3 * rs2)]]
+    return gradient, gauss_newton, hessian
+
+
+def _cholesky(matrix: list) -> list:
+    """Lower Cholesky factor of a small symmetric matrix, on Python floats;
+    raises LinAlgError, as LAPACK does, when a pivot is not positive."""
+    factor = []
+    for row in matrix:
+        lower = []
+        for above in factor:  # above[-1] is that row's pivot
+            value = row[len(lower)]
+            for a, b in zip(lower, above):
+                value -= a * b
+            lower.append(value / above[-1])
+        pivot = row[len(lower)]
+        for value in lower:
+            pivot -= value * value
+        if not pivot > 0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        lower.append(math.sqrt(pivot))
+        factor.append(lower)
+    return factor
+
+
+def _solve(matrix: list, rhs: list) -> list:
+    """matrix @ solution = rhs for a symmetric positive definite matrix."""
+    factor = _cholesky(matrix)
+    solution = []
+    for row, value in zip(factor, rhs):
+        for a, b in zip(row, solution):
+            value -= a * b
+        solution.append(value / row[-1])
+    for r in reversed(range(len(solution))):
+        row = factor[r]
+        value = solution[r] = solution[r] / row[r]
+        for c in range(r):
+            solution[c] -= row[c] * value
+    return solution
 
 
 def _bounded_step(lhs: list, gradient: list, theta: list, free: list) -> list:
@@ -122,12 +168,11 @@ def _bounded_step(lhs: list, gradient: list, theta: list, free: list) -> list:
     step, free = [0.0] * len(theta), list(free)
     while True:
         rows = [k for k, is_free in enumerate(free) if is_free]
-        rhs = [-(gradient[r] + sum([lhs[r][c] * step[c]
-                                    for c, is_free in enumerate(free) if not is_free]))
-               for r in rows]
-        solution = np.linalg.solve([[lhs[r][c] for c in rows] for r in rows], rhs)
+        fixed = [k for k, is_free in enumerate(free) if not is_free]
+        rhs = [-(gradient[r] + sum([lhs[r][c] * step[c] for c in fixed])) for r in rows]
+        solution = _solve([[lhs[r][c] for c in rows] for r in rows], rhs)
         crossed = False
-        for k, value in zip(rows, solution.tolist()):
+        for k, value in zip(rows, solution):
             target = min(max(theta[k] + value, LOWER[k]), UPPER[k])
             if target == theta[k] + value:
                 step[k] = value
@@ -153,14 +198,15 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
         raise ValueError("delta_eps and p0 lengths differ")
     if x.size < 5:
         raise ValueError(f"need at least 5 sweep points, got {x.size}")
-    span = float(np.max(x) - np.min(x))
+    span = float(x.max() - x.min())
     if fallback_sigma is None:
         fallback_sigma = span / 4 if span > 0 else 1.0
-    lo, hi = float(np.min(y)), float(np.max(y))
-    if not np.all(np.isfinite(y)) or hi - lo < 1e-9 or span <= 0:
+    lo, hi = float(y.min()), float(y.max())
+    if not np.isfinite(y).all() or hi - lo < 1e-9 or span <= 0:
         return _fallback(x, y, fallback_sigma, "flat_data")
 
     weights = y ** 2
+    weight_sum = float(weights.sum())
     sigma_floor = 1e-9 * span
     step_tol = (STEP_ABS, STEP_ABS, STEP_REL * span, STEP_REL * span)
 
@@ -169,40 +215,36 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
                                         for value, lower, upper in zip(theta, LOWER, UPPER))
         return [offset, amplitude, mu, max(abs(sigma), sigma_floor)]
 
-    theta = clamp([lo, hi - lo, float(x[int(np.argmax(y))]), span / 4])
+    theta = clamp([lo, hi - lo, float(x[int(y.argmax())]), span / 4])
 
-    def cost_of(theta: list) -> tuple[float, np.ndarray, np.ndarray]:
+    def cost_of(theta: list) -> tuple[float, tuple]:
+        """The weighted cost, and (u, shape, residual, w r) for the next pass."""
         offset, amplitude, mu, sigma = theta
-        shape = np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+        u = (x - mu) / sigma
+        shape = np.exp(-0.5 * u * u)
         residual = offset + amplitude * shape - y
-        return float(np.sum(weights * residual ** 2)), residual, shape
+        weighted_residual = weights * residual
+        return float(weighted_residual @ residual), (u, shape, residual, weighted_residual)
 
-    cost, residual, shape = cost_of(theta)
+    cost, (u, shape, residual, weighted_residual) = cost_of(theta)
     damping = 1e-3
     settled = False
     iterations = 0
     while not settled and iterations < MAX_ITERATIONS:
-        offset, amplitude, mu, sigma = theta
-        jac = np.empty((x.size, 4))
-        jac[:, 0] = 1.0
-        jac[:, 1] = shape
-        jac[:, 2] = amplitude * shape * (x - mu) / sigma ** 2
-        jac[:, 3] = amplitude * shape * (x - mu) ** 2 / sigma ** 3
-        jw = jac * weights[:, None]
-        gradient = (jw.T @ residual).tolist()
+        gradient, gauss_newton, normal = _newton_system(
+            u, shape, weights, weighted_residual, weight_sum, theta[1], theta[3])
         free = [not (value >= upper and slope < 0 or value <= lower and slope > 0)
                 for value, slope, lower, upper in zip(theta, gradient, LOWER, UPPER)]
-        gauss_newton = jw.T @ jac
-        normal = _newton_matrix(x, weights * residual, shape, theta, gauss_newton)
         try:  # the Newton matrix must be a descent metric over the free set
-            np.linalg.cholesky([[normal[r][c] for c in range(4) if free[c]]
-                                for r in range(4) if free[r]])
+            _cholesky([[normal[r][c] for c in range(4) if free[c]]
+                       for r in range(4) if free[r]])
         except np.linalg.LinAlgError:
-            normal = gauss_newton.tolist()
+            normal = gauss_newton
         settled = True  # unless a step below lowers the cost
         for _ in range(30):
-            lhs = [[value + damping * (value + 1e-12) if r == c else value
-                    for c, value in enumerate(row)] for r, row in enumerate(normal)]
+            lhs = [row[:] for row in normal]
+            for k, row in enumerate(lhs):
+                row[k] += damping * (row[k] + 1e-12)
             try:
                 step = _bounded_step(lhs, gradient, theta, free)
             except np.linalg.LinAlgError:
@@ -212,10 +254,10 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
             if all(abs(new - old) < tol
                    for new, old, tol in zip(candidate, theta, step_tol)):
                 break  # at the minimum
-            cand_cost, cand_residual, cand_shape = cost_of(candidate)
+            cand_cost, cand_arrays = cost_of(candidate)
             if cand_cost < cost * (1.0 - 1e-12) - 1e-20:
                 theta, cost = candidate, cand_cost
-                residual, shape = cand_residual, cand_shape
+                u, shape, residual, weighted_residual = cand_arrays
                 damping = max(damping / 10, 1e-12)
                 iterations += 1
                 settled = False
@@ -227,10 +269,10 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
     # beyond the swept window is not supported by the data.
     reason = ("not_settled" if not settled or not all(map(math.isfinite, theta))
               else "sigma_floor" if sigma <= sigma_floor
-              else "mean_outside_window" if not np.min(x) - span <= mu <= np.max(x) + span
+              else "mean_outside_window" if not x.min() - span <= mu <= x.max() + span
               else "converged")
     if reason != "converged":
         return _fallback(x, y, fallback_sigma, reason, iterations)
     return FitResult(mu=float(mu), sigma=float(sigma), amplitude=float(amplitude),
                      offset=float(offset), converged=True, iterations=iterations,
-                     residual_norm=float(np.sqrt(np.sum(residual ** 2))))
+                     residual_norm=math.sqrt(residual @ residual))

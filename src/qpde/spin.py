@@ -22,6 +22,7 @@ Qubit encoding follows statevector.py: spin i sits on qubit i-1, up=|0>.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,8 +50,11 @@ class SpinSystem:
                                  f"{self.n_spins} spins (need 1 <= i < j <= n)")
             if (i, j) in seen:
                 raise ValueError(f"duplicate coupling pair ({i}, {j})")
+            strength = float(strength)
+            if not math.isfinite(strength):
+                raise ValueError(f"coupling ({i}, {j}) strength must be finite, got {strength!r}")
             seen.add((i, j))
-            normalized.append((int(i), int(j), float(strength)))
+            normalized.append((int(i), int(j), strength))
         object.__setattr__(self, "couplings", tuple(normalized))
 
     @property

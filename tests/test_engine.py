@@ -287,6 +287,15 @@ def test_ideal_run_converges_to_the_gap():
     assert all(row.posterior.sigma < row.prior.sigma for row in result.trace)
 
 
+@pytest.mark.parametrize("mu, sigma", [(float("nan"), 10.0), (float("inf"), 1.0),
+                                       (0.0, float("inf")), (0.0, float("nan"))],
+                         ids=["nan_mu", "inf_mu", "inf_sigma", "nan_sigma"])
+def test_prior_rejects_non_finite_numbers(mu, sigma):
+    # Left unchecked, a run ends in fit_failed with mu or sigma non-finite.
+    with pytest.raises(ValueError, match="finite"):
+        PriorSpec("gaussian", mu, sigma)
+
+
 def test_uniform_prior_first_update_adopts_the_fit():
     config = EstimatorConfig(evolution="exact")
     result = run_estimation(linear_chain(1.0, 1.1), "Q", "D1",

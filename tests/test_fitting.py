@@ -150,6 +150,38 @@ def test_recorded_fit_replays_to_the_same_minimum(record):
     assert abs(fit.sigma - record["sigma"]) <= 1e-5 * span
 
 
+@pytest.mark.parametrize("record", REPLAY_FITS,
+                         ids=[f"{r['workload']}-{k}" for k, r in enumerate(REPLAY_FITS)])
+def test_recorded_fit_repeats_the_newton_path(record):
+    # The exact-Hessian Newton fit recorded its accepted steps, outcome and
+    # estimate (the newton_* fields); only the order of the floating-point
+    # operations may differ, not the path.  The last record is the almost
+    # flat sweep that takes 56 steps.
+    x, y = np.array(record["x"]), np.array(record["y"])
+    fit = fit_gaussian(x, y, fallback_sigma=record["fallback_sigma"])
+    assert (fit.iterations, fit.reason) == (record["newton_iterations"],
+                                            record["newton_reason"])
+    span = x[-1] - x[0]
+    assert abs(fit.mu - record["newton_mu"]) <= 1e-12 * span
+    assert abs(fit.sigma - record["newton_sigma"]) <= 1e-12 * span
+
+
+def test_fit_pass_calls_no_lapack(monkeypatch):
+    # The per-pass definiteness test and solve run on Python floats; numpy's
+    # LAPACK wrappers cost more than the 4x4 arithmetic they would do.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit_gaussian called a numpy.linalg routine")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    for fringe in CAPPED_FRINGES:
+        assert fit_gaussian(*_capped_fringe(*fringe)).converged
+    for record in REPLAY_FITS[::10]:
+        fit = fit_gaussian(np.array(record["x"]), np.array(record["y"]),
+                           fallback_sigma=record["fallback_sigma"])
+        assert fit.iterations == record["newton_iterations"]
+
+
 def test_recorded_fits_take_fewer_steps():
     steps = sum(fit_gaussian(np.array(r["x"]), np.array(r["y"]), r["fallback_sigma"]).iterations
                 for r in CONVERGED_REPLAY_FITS)
@@ -157,8 +189,9 @@ def test_recorded_fits_take_fewer_steps():
 
 
 def test_newton_matrix_matches_finite_difference_hessian():
-    # The Hessian of sum(w r^2) / 2 by central differences, against the
-    # analytic residual curvature added to a finite-difference J^T W J.
+    # The moment helper's gradient and J^T W J against a central-difference
+    # Jacobian, and its Hessian of sum(w r^2) / 2 against central
+    # differences of the cost.
     rng = np.random.default_rng(10)
     x = np.linspace(-1.5, 2.5, 21)
     for _ in range(20):
@@ -182,10 +215,15 @@ def test_newton_matrix_matches_finite_difference_hessian():
                                - half_cost(theta - ei + ej) + half_cost(theta - ei - ej))
                               / (4 * hi * hj) for ej, hj in zip(eye, h)]
                              for ei, hi in zip(eye, h)])
-        shape = np.exp(-0.5 * ((x - theta[2]) / theta[3]) ** 2)
-        newton = np.array(fitting._newton_matrix(x, weights * residual(theta), shape,
-                                                 theta.tolist(), (jac * weights[:, None]).T @ jac))
-        assert np.max(np.abs(newton - expected)) <= 1e-5 * np.max(np.abs(expected))
+        u = (x - theta[2]) / theta[3]
+        gradient, gauss_newton, hessian = (np.array(part) for part in fitting._newton_system(
+            u, np.exp(-0.5 * u ** 2), weights, weights * residual(theta), weights.sum(),
+            theta[1], theta[3]))
+        expected_gradient = (jac * weights[:, None]).T @ residual(theta)
+        expected_gauss_newton = (jac * weights[:, None]).T @ jac
+        for got, want in ((gradient, expected_gradient), (gauss_newton, expected_gauss_newton),
+                          (hessian, expected)):
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
 def _reference_bounded_step(lhs, gradient, theta, free):

@@ -82,6 +82,13 @@ def test_spin_system_validation():
         SpinSystem(3, ((1, 2, 1.0), (1, 2, 0.5)))
 
 
+@pytest.mark.parametrize("strength", [float("nan"), float("inf"), -float("inf")])
+def test_spin_system_rejects_non_finite_coupling(strength):
+    # A library caller gets the error here, not an eigensolver failure later.
+    with pytest.raises(ValueError, match="finite"):
+        SpinSystem(2, ((1, 2, strength),))
+
+
 def test_spin_squared_small_cases():
     assert np.allclose(spin_squared(1), 0.75 * np.eye(2))
     s2 = spin_squared(2)
