@@ -41,7 +41,7 @@ for mode, p_depol in (("shots", 0.0), ("noisy", 0.002)):
 
 print("Contrast loss grows with circuit depth (exact mean coherence, p_depol=0.002):")
 from qpde.engine import build_excitation_unitary
-from qpde.evolution import TrotterPlan, trotter_circuit
+from qpde.evolution import exchange_rotations
 from qpde.sampling import depolarized_overlap
 from qpde.spin import named_state
 
@@ -50,7 +50,7 @@ phi0 = named_state("Q", 3).to_statevector()
 phi1 = named_state("D2", 3).to_statevector()
 excitation = build_excitation_unitary(phi0, phi1)
 for t, n_steps in ((0.2, 30), (1.0, 150), (4.2, 620)):
-    step = trotter_circuit(system, TrotterPlan(t / n_steps, 1))
+    step = exchange_rotations(system, t / n_steps)
     z = depolarized_overlap(phi0.amplitudes, excitation, step, n_steps, p_depol=0.002)
     print(f"  t={t:3.1f}, n={n_steps:3d} ({2 * n_steps:4d} two-qubit gates): "
           f"mean coherence |E[z]| = {abs(z):.3f}")

@@ -5,8 +5,8 @@ evolution collapsed to one register block, and shot/noise sampling."""
 from .engine import (EstimationResult, EstimatorConfig, IterationRecord,
                      PriorSpec, SweepPoint, build_excitation_unitary, check_restart,
                      default_steps, next_time, run_estimation, sweep)
-from .evolution import (TrotterPlan, evolution_block, exact_evolution, pair_term_unitary,
-                        trotter_circuit)
+from .evolution import (TrotterPlan, evolution_block, exact_evolution, exchange_rotations,
+                        pair_term_unitary, trotter_circuit)
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .optimizer import CostReport, cost_report
 from .sampling import SamplerSpec, depolarized_overlap, derived_rng, sample_p0

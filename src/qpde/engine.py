@@ -21,8 +21,8 @@ references for the fringe, are test oracles (`tests/oracles.py`).
 Shots mode draws one binomial count per grid point from the fringe.
 Noisy mode draws it from the depolarized fringe instead: its mean overlap
 E[z] is computed exactly by `sampling.depolarized_overlap`, once per
-(t, n_steps), from the gate form of the one-step Trotter block that the
-ideal evolution raises to the n_steps power.
+(t, n_steps), from the exchange rotations of the one-step Trotter block
+that the ideal evolution raises to the n_steps power.
 
 The estimation loop keeps a Gaussian belief over the gap.  Each iteration
 sweeps delta_eps across the prior's +-1 sigma window, fits a Gaussian
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import TrotterPlan, evolution_block, trotter_circuit
+from .evolution import evolution_block, exchange_rotations
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
                        sample_p0)
@@ -200,9 +200,9 @@ class _SweepEvaluator:
     def _noisy_overlap(self, t: float, n_steps: int) -> complex:
         key = (t, n_steps)
         if key not in self._noisy_overlaps:
-            step = trotter_circuit(self.system, TrotterPlan(t / n_steps, 1))
             self._noisy_overlaps[key] = depolarized_overlap(
-                self.phi0.amplitudes, self.excitation, step, n_steps,
+                self.phi0.amplitudes, self.excitation,
+                exchange_rotations(self.system, t / n_steps), n_steps,
                 self.sampler.p_depol)
         return self._noisy_overlaps[key]
 

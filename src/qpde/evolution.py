@@ -10,10 +10,12 @@ A first-order product formula splits exp(-iHt) into n_steps repetitions
 of these pair factors, applied in a fixed (i, j) order so runs are
 reproducible (the first-order error depends on term order).  Each pair
 factor is exact, so every step is unitary, and for a single-coupling
-system one step is already the exact evolution.  `trotter_step_unitary`
-is one step as a dense register matrix; `trotter_circuit` lays the same
-factors out as two-qubit gates for the noise channel and for device-cost
-counts.  The exact propagator comes from the cached spectrum in `spin`.
+system one step is already the exact evolution.  `exchange_rotations`
+lists a step's factors as (i, j, angle) in that order: the noise channel
+takes them as they are, `trotter_step_unitary` multiplies them into a
+register matrix and `trotter_circuit` lays them out as two-qubit gates
+for device-cost counts.  The exact propagator comes from the cached
+spectrum in `spin`.
 
 However many steps it holds, an evolution segment on the register is one
 fixed-size block, built and cached only by `evolution_block`: the exact
@@ -59,27 +61,26 @@ def pair_term_unitary(strength: float, dt: float) -> np.ndarray:
     return _exchange_rotation(strength * dt, SWAP)
 
 
+def exchange_rotations(system: SpinSystem, dt: float) -> list[tuple[int, int, float]]:
+    """One product-formula step as its exchange rotations (i, j, J dt), in
+    (i, j) ascending order; zero couplings stay in the list."""
+    return [(i, j, strength * dt) for i, j, strength in sorted(system.couplings)]
+
+
 def trotter_step_unitary(system: SpinSystem, dt: float) -> np.ndarray:
-    """Whole-register unitary of one product-formula step: the pair factors
-    in (i, j) order, the same matrix `trotter_circuit` builds gate by gate."""
+    """Whole-register unitary of one product-formula step, the matrix
+    `trotter_circuit` builds gate by gate."""
     step = np.eye(system.dim, dtype=complex)
-    for i, j, strength in sorted(system.couplings):
-        step = _exchange_rotation(strength * dt,
-                                  exchange_operator(system.n_spins, i, j)) @ step
+    for i, j, angle in exchange_rotations(system, dt):
+        step = _exchange_rotation(angle, exchange_operator(system.n_spins, i, j)) @ step
     return step
 
 
 def trotter_circuit(system: SpinSystem, plan: TrotterPlan) -> Circuit:
     """First-order product-formula circuit on the spin register."""
-    dt = plan.t / plan.n_steps
-    ordered = sorted(system.couplings)
-    step_gates = [Gate.two(i - 1, j - 1, pair_term_unitary(strength, dt))
-                  for i, j, strength in ordered]
-    circuit = Circuit(system.n_spins)
-    for _ in range(plan.n_steps):
-        for gate in step_gates:
-            circuit.append(gate)
-    return circuit
+    step_gates = [Gate.two(i - 1, j - 1, _exchange_rotation(angle, SWAP))
+                  for i, j, angle in exchange_rotations(system, plan.t / plan.n_steps)]
+    return Circuit(system.n_spins, step_gates * plan.n_steps)
 
 
 def exact_evolution(system: SpinSystem, t: float) -> np.ndarray:

@@ -7,27 +7,32 @@ computed only by `fringe_p0`.
 
 Noise model: after every two-qubit gate, with probability p_depol a
 uniformly random non-identity two-qubit Pauli is inserted on that gate's
-pair.  Only genuine two-qubit gates carry noise; compact multi-qubit
-blocks and single-qubit rotations are treated as clean.  Each shot is one
-such trajectory followed by a single ancilla measurement, so a sweep
+pair.  Only the exchange rotations of the evolution carry noise; the
+excitation swap and the ancilla gates are treated as clean.  Each shot is
+one such trajectory followed by a single ancilla measurement, so a sweep
 point's count is exactly Binomial(shots, fringe_p0(E[z], phase)): the
 trajectories enter only through the mean overlap E[z].  Both branches
 see the same register operations, so z is linear in the branch coherence
 X = U_swap |phi_0><phi_0| and E[z] = tr(U_swap^dag Phi(X)) for the
-depolarizing channel Phi of the evolution.  `depolarized_overlap`
-computes it exactly from one Trotter step's superoperator, written as a
-real Pauli transfer matrix, raised to the step count.  The literal,
-gate-by-gate trajectory average that the channel is checked against is
-a test oracle (`tests/oracles.py`).
+depolarizing channel Phi of the evolution, which `depolarized_overlap`
+computes exactly.  Exchange rotations and pair depolarizing conserve the
+charge popcount(a) - popcount(b) of a unit |a><b|, so it runs on the
+charges X holds (15 of 64 entries for quartet to doublet).  There a noisy
+rotation e^{-ia/2}(c + i s P), c = cos a, s = sin a, maps X to
+(1 - q)(c^2 X + s^2 P X P + i c s [P, X]) + q Tr_ij(X) (x) I/4, q = 16p/15.
+The trajectory average and the density-matrix channel it is checked
+against are test oracles (`tests/oracles.py`).
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .statevector import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Circuit, apply_matrix
+from .spin import exchange_operator
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,11 @@ class SamplerSpec:
     def __post_init__(self):
         if self.mode not in ("exact", "shots", "noisy"):
             raise ValueError(f"unknown sampler mode {self.mode!r}")
+        for name in ("shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.shots < 1:
             raise ValueError("shot count must be at least 1")
         if not 0.0 <= self.p_depol <= 1.0:
@@ -79,59 +89,67 @@ def sample_p0(true_p: float, shots: int, rng: np.random.Generator) -> float:
     return float(rng.binomial(shots, true_p)) / shots
 
 
-@lru_cache(maxsize=4)
-def _pauli_basis(n_qubits: int) -> np.ndarray:
-    """The 4^n n-qubit Paulis over sqrt(2^n), an orthonormal operator basis.
+@lru_cache(maxsize=None)
+def _charges(n: int) -> np.ndarray:
+    """Charge popcount(a) - popcount(b) of each matrix unit |a><b|, row-major."""
+    weight = np.array([bin(k).count("1") for k in range(2 ** n)])
+    charge = np.subtract.outer(weight, weight).ravel()
+    charge.setflags(write=False)
+    return charge
 
-    Index digits are base 4 per qubit, qubit 0 most significant, so the
-    Pauli digit of qubit q sits on bits (2q, 2q + 1) of a 2n-bit index.
+
+@lru_cache(maxsize=None)
+def _sector(n: int, held: tuple[int, ...]) -> np.ndarray:
+    """Row-major indices a * 2^n + b of the units |a><b| of the held charges."""
+    sector = np.flatnonzero(np.isin(_charges(n), held))
+    sector.setflags(write=False)
+    return sector
+
+
+@lru_cache(maxsize=None)
+def _exchange_pieces(n: int, i: int, j: int, held: tuple[int, ...]) -> np.ndarray:
+    """X -> X, P X P, P X - X P and Tr_ij(X) (x) I/4 for P = P_ij on the held
+    charges' sector: a read-only (4, m * m) stack of maps on row-major vec(X)."""
+    d = 2 ** n
+    sector = _sector(n, held)
+    p, eye = exchange_operator(n, i, j), np.eye(d)
+    # Tr_ij(X) (x) I/4 keeps |a><b| where a and b agree on the pair and
+    # spreads it over the four pair states alike.
+    pair = (1 << (n - i)) | (1 << (n - j))
+    a, b = np.divmod(sector, d)
+    diagonal = (a & pair) == (b & pair)
+    rest = (a & ~pair) * d + (b & ~pair)
+    trace = 0.25 * (diagonal[:, None] & diagonal & (rest[:, None] == rest))
+    # vec(A X B) = (A (x) B^T) vec(X) for a row-major vec.
+    block = np.ix_(sector, sector)
+    pieces = np.stack([np.eye(len(sector)), np.kron(p, p)[block],
+                       (np.kron(p, eye) - np.kron(eye, p))[block], trace]).reshape(4, -1)
+    pieces.setflags(write=False)
+    return pieces
+
+
+def depolarized_overlap(phi0: np.ndarray, excitation: np.ndarray,
+                        rotations: list[tuple[int, int, float]], n_steps: int,
+                        p_depol: float) -> complex:
+    """Mean branch overlap E[z] of `n_steps` noisy repetitions of a step.
+
+    The step is a list of exchange rotations (i, j, a) in circuit order,
+    1-based spins (`evolution.exchange_rotations`), each followed by the
+    depolarizing insertion on its pair.  The coherence X = E |phi0><phi0|
+    is carried on its charge sector to the end of the evolution, where
+    E[z] = tr(E^dag X).  With p_depol = 0 this is the clean overlap.
     """
-    basis = [np.eye(1)]
-    for _ in range(n_qubits):
-        basis = [np.kron(b, p) for b in basis for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)]
-    basis = np.array(basis) / np.sqrt(2 ** n_qubits)
-    basis.setflags(write=False)
-    return basis
-
-
-#: The 15 non-identity two-qubit Paulis, in the basis order.
-TWO_QUBIT_PAULIS = tuple(2 * _pauli_basis(2)[1:])
-
-
-def _pauli_transfer(unitary: np.ndarray) -> np.ndarray:
-    """Real matrix of X -> U X U^dag in the two-qubit Pauli basis."""
-    basis = _pauli_basis(2)
-    return np.einsum("aij,bji->ab", basis, unitary @ basis @ unitary.conj().T).real
-
-
-def depolarized_overlap(phi0: np.ndarray, excitation: np.ndarray, step: Circuit,
-                        n_steps: int, p_depol: float) -> complex:
-    """Mean branch overlap E[z] of `n_steps` noisy repetitions of `step`.
-
-    The channel acts on the branch coherence X = E |phi0><phi0|, written
-    in the Pauli basis, where it is real: each gate's transfer matrix is
-    followed by the depolarizing insertion on its pair, which keeps a
-    Pauli acting there with weight (1 - p) - p / 15 and leaves the others
-    unchanged.  The step's transfer matrix raised to `n_steps` carries X
-    to the end of the evolution, where E[z] = tr(E^dag X).  With
-    p_depol = 0 this is the clean overlap.
-    """
-    n = step.n_qubits
-    basis = _pauli_basis(n)
-    decay = np.full(16, 1.0 - 16.0 * p_depol / 15.0)
-    decay[0] = 1.0
-    transfer = np.eye(4 ** n)
-    for gate in step.gates:
-        if gate.kind != "two":
-            raise ValueError("the noise channel expects two-qubit step gates")
-        digits = tuple(bit for q in gate.targets for bit in (2 * q, 2 * q + 1))
-        transfer = apply_matrix(transfer, decay[:, None] * _pauli_transfer(gate.matrix),
-                                digits, 2 * n)
-    coherence = np.einsum("i,aij,j->a", phi0.conj(), basis, excitation @ phi0)
-    # Real and imaginary parts apart, so every product stays real: complex
-    # products of this size go to a multithreaded BLAS kernel that runs
-    # hundreds of times slower when the other cores are busy.
-    final = np.linalg.matrix_power(transfer, n_steps) @ np.column_stack(
-        [coherence.real, coherence.imag])
-    readout = np.einsum("aij,ji->a", basis, excitation)
-    return complex(np.vdot(readout, final[:, 0] + 1j * final[:, 1]))
+    n = phi0.size.bit_length() - 1
+    coherence = np.outer(excitation @ phi0, phi0.conj()).ravel()
+    held = tuple(np.unique(_charges(n)[coherence != 0]).tolist())
+    sector = _sector(n, held)
+    m = len(sector)
+    q = 16.0 * p_depol / 15.0
+    keep = 1.0 - q
+    step = np.eye(m)
+    for i, j, angle in rotations:
+        c, s = math.cos(angle), math.sin(angle)
+        weights = np.array([keep * c * c, keep * s * s, 1j * keep * c * s, q])
+        step = (weights @ _exchange_pieces(n, i, j, held)).reshape(m, m) @ step
+    final = np.linalg.matrix_power(step, n_steps) @ coherence[sector]
+    return complex(np.vdot(excitation.ravel()[sector], final))

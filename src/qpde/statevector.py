@@ -11,11 +11,10 @@ Conventions used throughout the package:
 
 States are immutable after construction.  Gate matrices are checked for
 unitarity once, when the Gate is built.  The package builds only the gate
-kinds its circuits need: two-qubit Trotter factors and whole-register
-blocks.  `apply_matrix` acts on the listed qubit axes of a dense state or
-of a (2^n, m) block of columns alike; the noise channel applies it to
-Pauli transfer matrices.  The gate-by-gate circuit interpreter lives
-with the other literal references in the test suite (`tests/oracles.py`).
+kinds its circuits need: two-qubit Trotter factors, whose count is the
+device cost, and whole-register blocks.  The gate-by-gate circuit
+interpreter and its qubit-axis kernel live with the other literal
+references in the test suite (`tests/oracles.py`).
 """
 from __future__ import annotations
 
@@ -110,21 +109,3 @@ class Circuit:
     def append(self, gate: Gate):
         self._check(gate)
         self.gates.append(gate)
-
-
-# Single-qubit Paulis.
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],
-                 n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the listed qubit axes of a dense state,
-    or of every column of a (2^n, m) block."""
-    k = len(targets)
-    shape = [2] * n + list(amps.shape[1:])
-    tensor = np.moveaxis(amps.reshape(shape), targets, range(k))
-    flat = matrix @ tensor.reshape(2 ** k, -1)
-    return np.moveaxis(flat.reshape(shape), range(k), targets).reshape(amps.shape)

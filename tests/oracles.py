@@ -4,21 +4,31 @@ None of this runs in an estimation.  `qpde_circuit` is the interferometer
 gate by gate: Hadamard on the ancilla, controlled excitation swap, the
 register evolution block, controlled inverse swap, trial phase, Hadamard.
 `run_circuit` and `circuit_unitary` apply such a circuit one gate at a
-time, `ancilla_p0` reads the ancilla, `analytic_p0` is the closed-form
-mixture formula and `noisy_trajectory_p0` averages stochastic Pauli
-trajectories of a circuit, the literal form of the depolarizing channel.
+time through the qubit-axis kernel `apply_matrix`, `ancilla_p0` reads the
+ancilla, `analytic_p0` is the closed-form mixture formula and
+`noisy_trajectory_p0` averages stochastic Pauli trajectories of a circuit,
+the literal form of the depolarizing channel.  `pauli_transfer_overlap` is
+that channel as real Pauli transfer matrices on the whole operator space,
+a second form of the package's charge-sector channel.
 Single-qubit gates are one-target register gates, and a controlled
 register unitary is one full-width register gate with its control as the
 last target.  Qubit and ancilla conventions follow `qpde.statevector`.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from qpde.evolution import evolution_block
-from qpde.sampling import TWO_QUBIT_PAULIS
 from qpde.spin import SpinEigenfunction, SpinSystem
-from qpde.statevector import Circuit, Gate, Statevector, apply_matrix
+from qpde.statevector import Circuit, Gate, Statevector
+
+# Single-qubit Paulis.
+PAULI_I = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _PROJECT_0 = np.diag([1.0, 0.0]).astype(complex)
@@ -55,6 +65,17 @@ def controlled(control: int, targets, matrix) -> Gate:
     full = (np.kron(matrix, _PROJECT_1)
             + np.kron(np.eye(len(matrix), dtype=complex), _PROJECT_0))
     return Gate.register(tuple(targets) + (control,), full)
+
+
+def apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...],
+                 n: int) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix to the listed qubit axes of a dense state,
+    or of every column of a (2^n, m) block."""
+    k = len(targets)
+    shape = [2] * n + list(amps.shape[1:])
+    tensor = np.moveaxis(amps.reshape(shape), targets, range(k))
+    flat = matrix @ tensor.reshape(2 ** k, -1)
+    return np.moveaxis(flat.reshape(shape), range(k), targets).reshape(amps.shape)
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
@@ -135,6 +156,56 @@ def analytic_p0(coeffs_c: np.ndarray, coeffs_d: np.ndarray, energies: np.ndarray
     gaps = energies[None, :] - energies[:, None]
     weights = np.outer(c2, d2)
     return float(0.5 * (1.0 + np.sum(weights * np.cos((gaps - delta_eps) * t))))
+
+
+@lru_cache(maxsize=4)
+def _pauli_basis(n_qubits: int) -> np.ndarray:
+    """The 4^n n-qubit Paulis over sqrt(2^n), an orthonormal operator basis.
+
+    Index digits are base 4 per qubit, qubit 0 most significant, so the
+    Pauli digit of qubit q sits on bits (2q, 2q + 1) of a 2n-bit index.
+    """
+    basis = [np.eye(1)]
+    for _ in range(n_qubits):
+        basis = [np.kron(b, p) for b in basis for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)]
+    basis = np.array(basis) / np.sqrt(2 ** n_qubits)
+    basis.setflags(write=False)
+    return basis
+
+
+#: The 15 non-identity two-qubit Paulis, in the basis order.
+TWO_QUBIT_PAULIS = tuple(2 * _pauli_basis(2)[1:])
+
+
+def _pauli_transfer(unitary: np.ndarray) -> np.ndarray:
+    """Real matrix of X -> U X U^dag in the two-qubit Pauli basis."""
+    basis = _pauli_basis(2)
+    return np.einsum("aij,bji->ab", basis, unitary @ basis @ unitary.conj().T).real
+
+
+def pauli_transfer_overlap(phi0: np.ndarray, excitation: np.ndarray, step: Circuit,
+                           n_steps: int, p_depol: float) -> complex:
+    """Mean branch overlap E[z] of `n_steps` noisy repetitions of the
+    two-qubit gates of `step`, on the whole operator space.
+
+    The coherence X = E |phi0><phi0| is written in the Pauli basis, where
+    the channel is real: each gate's transfer matrix is followed by the
+    depolarizing insertion on its pair, which keeps a Pauli acting there
+    with weight (1 - p) - p / 15 and leaves the others unchanged.
+    """
+    n = step.n_qubits
+    basis = _pauli_basis(n)
+    decay = np.full(16, 1.0 - 16.0 * p_depol / 15.0)
+    decay[0] = 1.0
+    transfer = np.eye(4 ** n)
+    for gate in step.gates:
+        digits = tuple(bit for q in gate.targets for bit in (2 * q, 2 * q + 1))
+        transfer = apply_matrix(transfer, decay[:, None] * _pauli_transfer(gate.matrix),
+                                digits, 2 * n)
+    coherence = np.einsum("i,aij,j->a", phi0.conj(), basis, excitation @ phi0)
+    final = np.linalg.matrix_power(transfer, n_steps) @ coherence
+    readout = np.einsum("aij,ji->a", basis, excitation)
+    return complex(np.vdot(readout, final))
 
 
 def _random_pauli_gate(pair: tuple[int, int], rng: np.random.Generator) -> Gate:

@@ -1,9 +1,12 @@
 """Interferometer measurement, the refinement loop, and restart semantics."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qpde.engine as engine
-from oracles import analytic_p0, circuit_p0, circuit_unitary, from_amplitudes
+from oracles import PAULI_Z, analytic_p0, circuit_p0, circuit_unitary, from_amplitudes
 from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
                          check_restart, default_steps, next_time, run_estimation,
                          sweep, sweep_grid)
@@ -12,7 +15,6 @@ from qpde.fitting import FitResult, GaussianEstimate
 from qpde.sampling import SamplerSpec
 from qpde.spin import (SpinSystem, linear_chain, named_state, system_eigensystem,
                        triangle, two_spin_system)
-from qpde.statevector import PAULI_Z
 
 
 def _states(system, ground, excited):
@@ -440,6 +442,36 @@ def test_shot_sampled_run_is_deterministic_per_seed():
                for _ in range(2)]
     assert results[0].final == results[1].final
     assert len(results[0].trace) == len(results[1].trace)
+
+
+# Noisy runs recorded at an earlier commit; see the file's description.
+NOISY_REPLAY = json.loads((Path(__file__).parent / "data" / "noisy_replay.json")
+                          .read_text())["runs"]
+PAPER_RUNS = {
+    "two-spin": (two_spin_system(1.0), "T", "S"),
+    "linear-chain": (linear_chain(1.0, 1.0), "Q", "D2"),
+    "frustrated-triangle": (triangle(1.0, 1.0, 1.0), "Q", "D2"),
+    "non-frustrated-d1": (triangle(1.0, 1.0, 2.0), "Q", "D1"),
+    "non-frustrated-d2": (triangle(1.0, 1.0, 2.0), "Q", "D2"),
+    "asymmetric-chain": (linear_chain(1.0, 1.1), "Q", "D1"),
+}
+
+
+@pytest.mark.parametrize("record", NOISY_REPLAY, ids=[
+    f"{r['system']}-p{r['p_depol']}-seed{r['seed']}" for r in NOISY_REPLAY])
+def test_noisy_run_repeats_the_recorded_draws(record):
+    system, ground, excited = PAPER_RUNS[record["system"]]
+    sampler = SamplerSpec("noisy", record["shots"], record["p_depol"], record["seed"])
+    result = run_estimation(system, ground, excited, PriorSpec("gaussian", 0.0, 10.0),
+                            sampler=sampler)
+    iterations = [{"t": row.t, "n_steps": row.n_steps, "fit_attempts": row.fit_attempts,
+                   "p0": [point.p0 for point in row.points]} for row in result.trace]
+    for k, (got, recorded) in enumerate(zip(iterations, record["iterations"])):
+        assert got == recorded, f"iteration {k}"
+    assert len(iterations) == len(record["iterations"])
+    assert result.final.mu == record["mu"]
+    assert result.final.sigma == record["sigma"]
+    assert result.stop_reason == record["stop_reason"]
 
 
 def test_noisy_mode_requires_trotter():

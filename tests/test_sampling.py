@@ -1,20 +1,26 @@
 """Shot statistics, the exact depolarizing channel, and its references.
 
-The density-matrix depolarizing channel coded here is the independent
-oracle for `depolarized_overlap`, and the literal trajectory average
-`oracles.noisy_trajectory_p0` must reproduce it within Monte Carlo error.
+The density-matrix depolarizing channels coded here, one over the whole
+interferometer and one on the register alone, are the independent
+oracles for `depolarized_overlap`; the Pauli-transfer form of the channel
+(`oracles.pauli_transfer_overlap`) must agree with it too, and the
+literal trajectory average `oracles.noisy_trajectory_p0` must reproduce
+it within Monte Carlo error.
 """
 import numpy as np
 import pytest
 
-from oracles import (basis_state, circuit_p0, circuit_unitary, noisy_trajectory_p0,
+import qpde.engine as engine
+from oracles import (TWO_QUBIT_PAULIS, apply_matrix, basis_state, circuit_p0,
+                     circuit_unitary, noisy_trajectory_p0, pauli_transfer_overlap,
                      qpde_circuit, tensor)
+from qpde import sampling
 from qpde.engine import (EstimatorConfig, PriorSpec, _branch_overlap,
                          build_excitation_unitary, sweep)
-from qpde.evolution import TrotterPlan, trotter_circuit
-from qpde.sampling import (TWO_QUBIT_PAULIS, SamplerSpec, depolarized_overlap,
-                           derived_rng, fringe_p0, sample_p0)
-from qpde.spin import linear_chain, named_state, triangle, two_spin_system
+from qpde.evolution import TrotterPlan, exchange_rotations, trotter_circuit
+from qpde.sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
+                           sample_p0)
+from qpde.spin import SpinSystem, linear_chain, named_state, triangle, two_spin_system
 from qpde.statevector import Circuit, Gate
 
 
@@ -27,6 +33,27 @@ def test_sampler_spec_validation():
         SamplerSpec(p_depol=1.5)
     with pytest.raises(ValueError, match="seed"):
         SamplerSpec(seed=-1)
+
+
+@pytest.mark.parametrize("bad", [50.5, 50.0, True, np.float64(50.0), "50", None],
+                         ids=["50.5", "50.0", "True", "float64", "str", "None"])
+def test_sampler_spec_rejects_non_integer_shots(bad):
+    # 50.5 shots would draw binomial(50, p) / 50.5, and True one-shot sweeps.
+    with pytest.raises(ValueError, match="shots"):
+        SamplerSpec("shots", shots=bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, False, np.bool_(True), "1"],
+                         ids=["1.5", "1.0", "False", "bool_", "str"])
+def test_sampler_spec_rejects_non_integer_seed(bad):
+    with pytest.raises(ValueError, match="seed"):
+        SamplerSpec(seed=bad)
+
+
+def test_sampler_spec_takes_numpy_integers_as_ints():
+    spec = SamplerSpec("noisy", shots=np.int64(500), seed=np.int64(7))
+    assert spec == SamplerSpec("noisy", shots=500, seed=7)
+    assert type(spec.shots) is int and type(spec.seed) is int
 
 
 def test_sample_p0_extremes_and_determinism():
@@ -71,8 +98,8 @@ def test_noiseless_trajectory_reduces_to_exact_probability():
 
 
 def _channel_z(system, phi0, excitation, t, n_steps, p_depol):
-    step = trotter_circuit(system, TrotterPlan(t / n_steps, 1))
-    return depolarized_overlap(phi0.amplitudes, excitation, step, n_steps, p_depol)
+    return depolarized_overlap(phi0.amplitudes, excitation,
+                               exchange_rotations(system, t / n_steps), n_steps, p_depol)
 
 
 def test_full_depolarizing_drives_toward_half():
@@ -120,6 +147,103 @@ def test_fast_sampler_matches_density_matrix_channel():
                                       p_depol)
             z = _channel_z(system, phi0, excitation, t, n_steps, p_depol)
             assert fringe_p0(z, delta * t) == pytest.approx(expected, abs=1e-12)
+
+
+def _embedded(n, targets, matrix):
+    return apply_matrix(np.eye(2 ** n, dtype=complex), matrix, targets, n)
+
+
+def _dm_channel_z(system, phi0, excitation, t, n_steps, p_depol):
+    """E[z] from the register-only depolarizing channel (independent oracle):
+    X = E |phi0><phi0| goes through rho -> U rho U^dag for each gate of the
+    Trotter circuit, then (1 - p) rho + p / 15 sum P rho P on its pair."""
+    n = system.n_spins
+    gates = [(_embedded(n, gate.targets, gate.matrix),
+              np.array([_embedded(n, gate.targets, pauli) for pauli in TWO_QUBIT_PAULIS]))
+             for gate in trotter_circuit(system, TrotterPlan(t / n_steps, 1)).gates]
+    rho = np.outer(excitation @ phi0, phi0.conj())
+    for _ in range(n_steps):
+        for u, paulis in gates:
+            rho = u @ rho @ u.conj().T
+            rho = (1 - p_depol) * rho + p_depol / 15 * (paulis @ rho @ paulis).sum(axis=0)
+    return complex(np.trace(excitation.conj().T @ rho))
+
+
+def _random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+_J = np.random.default_rng(13).normal(size=5)
+_RANDOM_TRIANGLE = SpinSystem(3, ((1, 2, _J[0]), (1, 3, -abs(_J[1])), (2, 3, _J[2])))
+
+
+def _channel_case(name):
+    """(system, phi0 amplitudes, excitation) of a named oracle case."""
+    if name == "random-state":
+        # A random state and swap: X spans every charge, so the channel
+        # runs on the whole operator space.
+        rng = np.random.default_rng(5)
+        phi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+        return _RANDOM_TRIANGLE, phi0 / np.linalg.norm(phi0), _random_unitary(8, rng)
+    system, ground, excited = {
+        "two-spin": (SpinSystem(2, ((1, 2, -abs(_J[3])),)), "T", "S"),
+        "chain-with-zero": (SpinSystem(3, ((1, 2, _J[4]), (2, 3, 0.0))), "Q", "D2"),
+        "triangle": (_RANDOM_TRIANGLE, "Q", "D1"),
+    }[name]
+    phi0, phi1, excitation = _qpde_setup(system, ground, excited)
+    return system, phi0.amplitudes, excitation
+
+
+@pytest.mark.parametrize("p_depol", [0.0, 0.002, 0.02, 1.0])
+@pytest.mark.parametrize("n_steps", [1, 7, 600])
+@pytest.mark.parametrize("name", ["two-spin", "chain-with-zero", "triangle", "random-state"])
+def test_channel_matches_register_density_matrix(name, n_steps, p_depol):
+    system, phi0, excitation = _channel_case(name)
+    t = 1.7
+    z = depolarized_overlap(phi0, excitation, exchange_rotations(system, t / n_steps),
+                            n_steps, p_depol)
+    assert abs(z - _dm_channel_z(system, phi0, excitation, t, n_steps, p_depol)) <= 1e-12
+
+
+def test_charge_sector_sizes():
+    # Quartet -> doublet coherences hold charge 1, triplet -> singlet charge 0.
+    assert len(sampling._sector(3, (1,))) == 15
+    assert len(sampling._sector(2, (0,))) == 6
+    assert len(sampling._sector(3, tuple(range(-3, 4)))) == 64
+
+
+def test_channel_matches_pauli_transfer_form():
+    rng = np.random.default_rng(2026)
+    for k in range(24):
+        couplings = [(1, 2), (2, 3), (1, 3)][:1 + k % 3]
+        strengths = rng.normal(size=3) * (rng.random(3) > 0.15)
+        system = SpinSystem(3 if k % 3 else 2,
+                            tuple((i, j, s) for (i, j), s in zip(couplings, strengths)))
+        ground, excited = ("T", "S") if k % 3 == 0 else ("Q", ("D1", "D2")[k % 2])
+        phi0, _, excitation = _qpde_setup(system, ground, excited)
+        t, n_steps = rng.uniform(0.1, 8.0), int(rng.integers(1, 1301))
+        p_depol = (0.0, 0.002, 0.02, 1.0)[k % 4]
+        step = trotter_circuit(system, TrotterPlan(t / n_steps, 1))
+        expected = pauli_transfer_overlap(phi0.amplitudes, excitation, step, n_steps, p_depol)
+        z = _channel_z(system, phi0, excitation, t, n_steps, p_depol)
+        assert abs(z - expected) <= 1e-12, (system, t, n_steps, p_depol)
+
+
+def test_noisy_sweep_builds_no_gate_circuit(monkeypatch):
+    # The channel takes the step as exchange rotations, with no Gate or
+    # Circuit objects (and no per-gate unitarity checks) per (t, n_steps).
+    def refuse(*args, **kwargs):
+        raise AssertionError("a noisy sweep built a gate circuit")
+
+    monkeypatch.setattr(engine, "trotter_circuit", refuse, raising=False)
+    monkeypatch.setattr(Gate, "two", refuse)
+    monkeypatch.setattr(Circuit, "__post_init__", refuse)
+    system = triangle(1.0, 1.0, 2.0)
+    phi0, phi1, _ = _qpde_setup(system, "Q", "D2")
+    points = sweep(phi0, phi1, system, 0.7, PriorSpec("gaussian", 5.0, 1.0),
+                   EstimatorConfig(), SamplerSpec("noisy", seed=3))
+    assert len(points) == EstimatorConfig().grid_points
 
 
 def test_noiseless_channel_is_the_clean_overlap():
