@@ -1,7 +1,8 @@
 """Finite shots and depolarizing noise.
 
-Shot sampling turns each sweep point into a 5000-shot binomial estimate.
-The noisy mode inserts random two-qubit Paulis after the entangling
+Shot sampling turns each sweep point into a 5000-shot binomial estimate;
+a sweep draws all its points at once from one random stream, derived from
+the sampler seed, the iteration and the retry attempt.  The noisy mode inserts random two-qubit Paulis after the entangling
 evolution gates, one stochastic trajectory per shot; the shots then
 average to the depolarizing channel, which the package computes exactly
 as the mean branch coherence E[z] and samples one binomial per point

@@ -18,11 +18,13 @@ scanning delta_eps and locating the peak reads off the gap directly.
 circuit and the general eigenstate-mixture formula, the independent
 references for the fringe, are test oracles (`tests/oracles.py`).
 
-Shots mode draws one binomial count per grid point from the fringe.
-Noisy mode draws it from the depolarized fringe instead: its mean overlap
-E[z] is computed exactly by `sampling.depolarized_overlap`, once per
-(t, n_steps), from the exchange rotations of the one-step Trotter block
-that the ideal evolution raises to the n_steps power.
+Shots mode draws one binomial count per grid point from the fringe, the
+whole grid in one call on the (seed, iteration, attempt) stream of
+`sampling.derived_rng`.  Noisy mode draws them from the depolarized
+fringe: its mean overlap E[z] is computed exactly by
+`sampling.depolarized_overlap`, once per (t, n_steps), from the exchange
+rotations of the one-step Trotter block that the ideal evolution raises
+to the n_steps power.
 
 The estimation loop keeps a Gaussian belief over the gap.  Each iteration
 sweeps delta_eps across the prior's +-1 sigma window, fits a Gaussian
@@ -210,15 +212,12 @@ class _SweepEvaluator:
             iteration: int, attempt: int) -> list[SweepPoint]:
         z = _branch_overlap(self.phi0, self.excitation, self.system, t,
                             self.config.evolution, n_steps)
-        exact = fringe_p0(z, grid * t)
-        mode = self.sampler.mode
-        values = exact
-        if mode == "noisy":
+        values = exact = fringe_p0(z, grid * t)
+        if self.sampler.mode == "noisy":
             values = fringe_p0(self._noisy_overlap(t, n_steps), grid * t)
-        if mode != "exact":
-            values = [sample_p0(p, self.sampler.shots,
-                                derived_rng(self.sampler.seed, iteration, attempt, k))
-                      for k, p in enumerate(values)]
+        if self.sampler.mode != "exact":
+            values = sample_p0(values, self.sampler.shots,
+                               derived_rng(self.sampler.seed, iteration, attempt))
         return [SweepPoint(float(delta), float(value), float(p))
                 for delta, value, p in zip(grid, values, exact)]
 

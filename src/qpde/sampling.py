@@ -3,7 +3,8 @@
 Every interferometer run reads one fringe: with the register branches
 chi_b = U_evo |phi_b> and their overlap z = <chi_0| U_swap^dag |chi_1>,
 the ancilla |0> probability is p0 = (1 + Re(e^{i delta_eps t} z)) / 2,
-computed only by `fringe_p0`.
+computed only by `fringe_p0`.  `sample_p0` draws a sweep's shot counts
+in one binomial call on one stream of `derived_rng`.
 
 Noise model: after every two-qubit gate, with probability p_depol a
 uniformly random non-identity two-qubit Pauli is inserted on that gate's
@@ -42,7 +43,8 @@ class SamplerSpec:
     mode "exact" returns ideal probabilities, "shots" draws one binomial
     count of `shots` measurements per sweep point, and "noisy" draws it
     from the depolarized fringe, each shot being one noise trajectory and
-    one measurement.  All randomness derives from `seed`.
+    one measurement.  All randomness derives from `seed`, one
+    `derived_rng` stream per sweep.
     """
 
     mode: str = "exact"
@@ -67,11 +69,8 @@ class SamplerSpec:
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
-    """Independent stream for a (seed, indices...) coordinate.
-
-    Streams depend only on their coordinates, so results are identical no
-    matter in which order sweep points are evaluated.
-    """
+    """Independent stream for a (seed, indices...) coordinate.  A sweep
+    draws its grid from (seed, iteration, attempt), whatever ran before."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
@@ -82,11 +81,12 @@ def fringe_p0(z, phase):
     return np.clip(0.5 * (1.0 + np.real(np.exp(1j * phase) * z)), 0.0, 1.0)
 
 
-def sample_p0(true_p: float, shots: int, rng: np.random.Generator) -> float:
-    """Binomial frequency estimate k/shots of a probability."""
-    if not 0.0 <= true_p <= 1.0:
+def sample_p0(true_p, shots: int, rng: np.random.Generator):
+    """Binomial frequencies k/shots of a probability, or of an array in one draw."""
+    p = np.asarray(true_p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"probability {true_p!r} outside [0, 1]")
-    return float(rng.binomial(shots, true_p)) / shots
+    return rng.binomial(shots, p) / shots
 
 
 @lru_cache(maxsize=None)

@@ -208,10 +208,6 @@ def pauli_transfer_overlap(phi0: np.ndarray, excitation: np.ndarray, step: Circu
     return complex(np.vdot(readout, final))
 
 
-def _random_pauli_gate(pair: tuple[int, int], rng: np.random.Generator) -> Gate:
-    return Gate.two(pair[0], pair[1], TWO_QUBIT_PAULIS[rng.integers(15)])
-
-
 def noisy_trajectory_p0(circuit: Circuit, p_depol: float, rng: np.random.Generator,
                         shots: int, ancilla_index: int,
                         initial_state: Statevector | None = None) -> float:
@@ -220,21 +216,32 @@ def noisy_trajectory_p0(circuit: Circuit, p_depol: float, rng: np.random.Generat
     After every gate on exactly two qubits, with probability p_depol a
     uniformly random non-identity two-qubit Pauli acts on its pair.  With
     p_depol = 0 every trajectory is the noiseless circuit and the exact
-    probability is returned.
+    probability is returned.  Each gate and each pair's 15 Paulis are
+    embedded once as full-width matrices, and a trajectory carries raw
+    amplitudes between them.
     """
     if not 0.0 <= p_depol <= 1.0:
         raise ValueError("p_depol must lie in [0, 1]")
+    n = circuit.n_qubits
     if initial_state is None:
-        initial_state = basis_state(circuit.n_qubits, 0)
+        initial_state = basis_state(n, 0)
+
+    def embedded(targets, matrix):
+        return apply_matrix(np.eye(2 ** n, dtype=complex), matrix, targets, n)
+
+    gates = [embedded(gate.targets, gate.matrix) for gate in circuit.gates]
+    noisy = [len(gate.targets) == 2 and p_depol > 0 for gate in circuit.gates]
+    paulis = {gate.targets: [embedded(gate.targets, pauli) for pauli in TWO_QUBIT_PAULIS]
+              for gate, hit in zip(circuit.gates, noisy) if hit}
     n_trajectories = 1 if p_depol == 0 else shots  # noiseless trajectories are identical
     total = 0.0
     for _ in range(n_trajectories):
-        state = initial_state
-        for gate in circuit.gates:
-            state = apply_gate(state, gate)
-            if len(gate.targets) == 2 and p_depol > 0 and rng.random() < p_depol:
-                state = apply_gate(state, _random_pauli_gate(gate.targets, rng))
-        total += ancilla_p0(state, ancilla_index)
+        amps = initial_state.amplitudes
+        for gate, matrix, hit in zip(circuit.gates, gates, noisy):
+            amps = matrix @ amps
+            if hit and rng.random() < p_depol:
+                amps = paulis[gate.targets][rng.integers(15)] @ amps
+        total += ancilla_p0(Statevector(amps, n), ancilla_index)
     return total / n_trajectories
 
 

@@ -274,8 +274,9 @@ def test_fast_sampler_matches_literal_trajectories():
 
 
 def test_sampled_measurement_is_seed_deterministic():
-    # A noisy sweep point is one binomial draw from the depolarized fringe,
-    # taken from the point's own (seed, iteration, attempt, k) stream.
+    # A noisy sweep is one binomial draw per point from the depolarized
+    # fringe, the whole grid taken in one call from the sweep's
+    # (seed, iteration, attempt) stream.
     system = linear_chain(1.0, 1.0)
     phi0, phi1, excitation = _qpde_setup(system, "Q", "D2")
     t, n_steps = 0.4, 20
@@ -286,10 +287,58 @@ def test_sampled_measurement_is_seed_deterministic():
     again = sweep(phi0, phi1, system, t, prior, config, sampler, n_steps=n_steps)
     assert points == again
     z = _channel_z(system, phi0, excitation, t, n_steps, sampler.p_depol)
-    for k, point in enumerate(points):
-        expected = sample_p0(fringe_p0(z, point.delta_eps * t), sampler.shots,
-                             derived_rng(sampler.seed, 0, 0, k))
-        assert point.p0 == expected
+    p = fringe_p0(z, np.array([point.delta_eps for point in points]) * t)
+    expected = derived_rng(sampler.seed, 0, 0).binomial(sampler.shots, p) / sampler.shots
+    assert [point.p0 for point in points] == expected.tolist()
+
+
+def test_sweep_builds_one_stream(monkeypatch):
+    calls = []
+
+    def counted(*coordinates):
+        calls.append(coordinates)
+        return derived_rng(*coordinates)
+
+    monkeypatch.setattr(engine, "derived_rng", counted)
+    system = two_spin_system(1.0)
+    phi0, phi1, _ = _qpde_setup(system, "T", "S")
+    sweep(phi0, phi1, system, 0.4, PriorSpec("gaussian", 2.0, 1.0), EstimatorConfig(),
+          SamplerSpec("shots", 1000, seed=8), iteration=3)
+    assert calls == [(8, 3, 0)]
+
+
+def test_sweep_draws_do_not_depend_on_earlier_sweeps():
+    system = linear_chain(1.0, 1.0)
+    phi0, phi1, excitation = _qpde_setup(system, "Q", "D2")
+    grid = np.linspace(0.0, 2.0, 21)
+
+    def evaluator():
+        return engine._SweepEvaluator(phi0, system, excitation, EstimatorConfig(),
+                                      SamplerSpec("noisy", 5000, 0.002, seed=5))
+
+    fresh = evaluator().run(0.4, 60, grid, 2, 1)
+    busy = evaluator()
+    for iteration, attempt in ((0, 0), (1, 0), (2, 0), (3, 1)):
+        busy.run(0.4, 60, grid, iteration, attempt)
+    assert busy.run(0.4, 60, grid, 2, 1) == fresh
+    noisy = fringe_p0(_channel_z(system, phi0, excitation, 0.4, 60, 0.002), grid * 0.4)
+    expected = derived_rng(5, 2, 1).binomial(5000, noisy) / 5000
+    assert [point.p0 for point in fresh] == expected.tolist()
+
+
+def test_sample_p0_checks_every_entry_of_an_array():
+    rng = derived_rng(0, 2)
+    for bad in (np.nan, 1.2):
+        with pytest.raises(ValueError, match="outside"):
+            sample_p0(np.array([0.1, bad, 0.5]), 100, rng)
+    with pytest.raises(ValueError, match="outside"):
+        sample_p0(np.nan, 100, rng)
+    p = np.array([0.0, 0.37, 1.0])
+    draws = sample_p0(p, 5000, derived_rng(42, 7))
+    assert draws.shape == (3,) and draws[0] == 0.0 and draws[2] == 1.0
+    scalar = sample_p0(0.37, 5000, derived_rng(42, 7))
+    assert scalar == derived_rng(42, 7).binomial(5000, 0.37) / 5000
+    assert scalar == sample_p0(np.array([0.37]), 5000, derived_rng(42, 7))[0]
 
 
 def _fitted_sweep(system, phi0, phi1, excitation, t, n_steps, p_depol, seed,
