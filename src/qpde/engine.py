@@ -208,8 +208,9 @@ class _SweepEvaluator:
                 self.sampler.p_depol)
         return self._noisy_overlaps[key]
 
-    def run(self, t: float, n_steps: int, grid: np.ndarray,
-            iteration: int, attempt: int) -> list[SweepPoint]:
+    def sample(self, t: float, n_steps: int, grid: np.ndarray,
+               iteration: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sampled and the exact p0 at each point of the grid."""
         z = _branch_overlap(self.phi0, self.excitation, self.system, t,
                             self.config.evolution, n_steps)
         values = exact = fringe_p0(z, grid * t)
@@ -218,6 +219,11 @@ class _SweepEvaluator:
         if self.sampler.mode != "exact":
             values = sample_p0(values, self.sampler.shots,
                                derived_rng(self.sampler.seed, iteration, attempt))
+        return values, exact
+
+    def run(self, t: float, n_steps: int, grid: np.ndarray,
+            iteration: int, attempt: int) -> list[SweepPoint]:
+        values, exact = self.sample(t, n_steps, grid, iteration, attempt)
         return [SweepPoint(float(delta), float(value), float(p))
                 for delta, value, p in zip(grid, values, exact)]
 
@@ -294,17 +300,17 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
         grid = sweep_grid(belief.mu, belief.sigma, config.grid_points)
         fit = None
         for attempt in range(max_attempts):
-            points = evaluator.run(t, n_steps, grid, iteration, attempt)
-            fit = fit_gaussian(np.array([p.delta_eps for p in points]),
-                               np.array([p.p0 for p in points]),
-                               fallback_sigma=belief.sigma / 2)
+            values, exact = evaluator.sample(t, n_steps, grid, iteration, attempt)
+            fit = fit_gaussian(grid, values, fallback_sigma=belief.sigma / 2)
             if fit.converged:
                 break
+        points = tuple(SweepPoint(float(delta), float(value), float(p))
+                       for delta, value, p in zip(grid, values, exact))
 
         if not fit.converged:
             # Fit failed on every retry: stop and report the trace as-is.
             trace.append(IterationRecord(t, n_steps, belief, fit, belief, False,
-                                         tuple(points), attempt + 1))
+                                         points, attempt + 1))
             stop_reason = "fit_failed"
             break
 
@@ -313,7 +319,7 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
             consecutive_restarts += 1
             carried = GaussianEstimate(fit.mu, belief.sigma)
             trace.append(IterationRecord(t, n_steps, belief, fit, carried, True,
-                                         tuple(points), attempt + 1))
+                                         points, attempt + 1))
             if consecutive_restarts >= config.restart_limit:
                 stop_reason = "restart_limit"
                 break
@@ -327,7 +333,7 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
         else:
             posterior = multiply_gaussians(belief, fit.estimate())
         trace.append(IterationRecord(t, n_steps, belief, fit, posterior, False,
-                                     tuple(points), attempt + 1))
+                                     points, attempt + 1))
         belief = posterior
 
         if posterior.sigma < config.e_thre:

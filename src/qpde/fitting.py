@@ -21,12 +21,13 @@ parameters, and J^T W J otherwise.  A clamped candidate is kept if it
 lowers the cost.  The iteration stops at the constrained minimum, when the
 clamped step is below STEP_ABS in offset and amplitude and STEP_REL of the
 span in mu and sigma, or when 30 damping raises in a row find no lower
-cost.  Numpy computes the residual and, in one matrix product, the moments
-sum(u^k v) over the sweep from which the gradient, J^T W J and the Hessian
-are assembled; the 4-parameter algebra (held set, damping, Cholesky
-definiteness test and solve, pinning, clamp, step test) runs on Python
-floats, where numpy's dispatch and LAPACK's set-up would cost more than
-the arithmetic.
+cost.  Numpy computes the residual and, in one product with a table of
+u^0 ... u^4, the moments sum(u^k v) from which the gradient, J^T W J and
+the Hessian are assembled.  The algebra is written out for its one size,
+4x4, on Python floats, which cost less here than numpy's dispatch: a held
+or pinned parameter's row and column become the unit vector and its
+right-hand side 0, which adds only exact zeros to the straight-line
+Cholesky factor and solve of the free block, so no sub-matrix is built.
 """
 from __future__ import annotations
 
@@ -70,11 +71,6 @@ class FitResult:
         return GaussianEstimate(self.mu, self.sigma)
 
 
-def gaussian_model(x: np.ndarray, offset: float, amplitude: float,
-                   mu: float, sigma: float) -> np.ndarray:
-    return offset + amplitude * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
-
-
 def multiply_gaussians(prior: GaussianEstimate,
                        fit: GaussianEstimate) -> GaussianEstimate:
     """Product of two Gaussians, renormalized; variance always shrinks."""
@@ -98,17 +94,17 @@ def _fallback(x: np.ndarray, y: np.ndarray, fallback_sigma: float,
                      residual_norm=float(np.linalg.norm(y - np.mean(y))))
 
 
-def _newton_system(u: np.ndarray, shape: np.ndarray, weights: np.ndarray,
+def _newton_system(powers: np.ndarray, shape: np.ndarray, weights: np.ndarray,
                    weighted_residual: np.ndarray, weight_sum: float,
                    amplitude: float, sigma: float) -> tuple[list, list, list]:
     """Gradient, Gauss-Newton matrix J^T W J and Hessian of sum(w r^2) / 2.
     The model's derivatives are (1, s, g s u, g s u^2) with g = amplitude /
-    sigma, so every entry is a moment sum(u^k v), v in (w s, w s^2, w r, w r s)."""
-    ws, u2 = weights * shape, u * u
+    sigma, so every entry is a moment sum(u^k v), v in (w s, w s^2, w r, w r s),
+    taken against `powers`, whose rows are u^0 ... u^4."""
+    ws = weights * shape
     ((s0, ss0, r0, rs0), (s1, ss1, _, rs1), (s2, ss2, _, rs2), (_, ss3, _, rs3),
-     (_, ss4, _, rs4)) = (np.array((np.ones(u.size), u, u2, u2 * u, u2 * u2))
-                          @ np.array((ws, ws * shape, weighted_residual,
-                                      weighted_residual * shape)).T).tolist()
+     (_, ss4, _, rs4)) = (powers @ np.array((ws, ws * shape, weighted_residual,
+                                             weighted_residual * shape)).T).tolist()
     g = amplitude / sigma
     gg, curvature = g * g, g / sigma
     gradient = [r0, rs0, g * rs1, g * rs2]
@@ -125,61 +121,70 @@ def _newton_system(u: np.ndarray, shape: np.ndarray, weights: np.ndarray,
     return gradient, gauss_newton, hessian
 
 
-def _cholesky(matrix: list) -> list:
-    """Lower Cholesky factor of a small symmetric matrix, on Python floats;
-    raises LinAlgError, as LAPACK does, when a pivot is not positive."""
-    factor = []
-    for row in matrix:
-        lower = []
-        for above in factor:  # above[-1] is that row's pivot
-            value = row[len(lower)]
-            for a, b in zip(lower, above):
-                value -= a * b
-            lower.append(value / above[-1])
-        pivot = row[len(lower)]
-        for value in lower:
-            pivot -= value * value
-        if not pivot > 0:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-        lower.append(math.sqrt(pivot))
-        factor.append(lower)
-    return factor
+def _unit_rows(matrix: list, free: list) -> list:
+    """`matrix` with each row and column not in `free` replaced by the unit vector."""
+    rows = [row[:] if is_free else [0.0] * 4 for row, is_free in zip(matrix, free)]
+    for k, is_free in enumerate(free):
+        if not is_free:
+            for row in rows:
+                row[k] = 0.0
+            rows[k][k] = 1.0
+    return rows
 
 
-def _solve(matrix: list, rhs: list) -> list:
-    """matrix @ solution = rhs for a symmetric positive definite matrix."""
-    factor = _cholesky(matrix)
-    solution = []
-    for row, value in zip(factor, rhs):
-        for a, b in zip(row, solution):
-            value -= a * b
-        solution.append(value / row[-1])
-    for r in reversed(range(len(solution))):
-        row = factor[r]
-        value = solution[r] = solution[r] / row[r]
-        for c in range(r):
-            solution[c] -= row[c] * value
-    return solution
+def _root(pivot: float) -> float:
+    if not pivot > 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return math.sqrt(pivot)
+
+
+def _cholesky(a: list) -> tuple:
+    """Lower Cholesky factor (l00, l10, l11, l20, ..., l33) of a symmetric 4x4
+    matrix; raises LinAlgError, as LAPACK does, when a pivot is not positive."""
+    (a00, *_), (a10, a11, *_), (a20, a21, a22, _), (a30, a31, a32, a33) = a
+    l00 = _root(a00)
+    l10, l20, l30 = a10 / l00, a20 / l00, a30 / l00
+    l11 = _root(a11 - l10 * l10)
+    l21, l31 = (a21 - l20 * l10) / l11, (a31 - l30 * l10) / l11
+    l22 = _root(a22 - l20 * l20 - l21 * l21)
+    l32 = (a32 - l30 * l20 - l31 * l21) / l22
+    return (l00, l10, l11, l20, l21, l22, l30, l31, l32,
+            _root(a33 - l30 * l30 - l31 * l31 - l32 * l32))
+
+
+def _solve(factor: tuple, rhs: list) -> list:
+    """L L^T @ solution = rhs for the factor L of `_cholesky`."""
+    (l00, l10, l11, l20, l21, l22, l30, l31, l32, l33), (b0, b1, b2, b3) = factor, rhs
+    y0 = b0 / l00
+    y1 = (b1 - l10 * y0) / l11
+    y2 = (b2 - l20 * y0 - l21 * y1) / l22
+    x3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33 / l33
+    x2 = (y2 - l32 * x3) / l22
+    x1 = (y1 - l31 * x3 - l21 * x2) / l11
+    return [(y0 - l30 * x3 - l20 * x2 - l10 * x1) / l00, x1, x2, x3]
 
 
 def _bounded_step(lhs: list, gradient: list, theta: list, free: list) -> list:
-    """Solve lhs @ step = -gradient over `free`; a parameter whose step
-    would cross its bound is pinned there and the others solved again."""
-    step, free = [0.0] * len(theta), list(free)
+    """Solve lhs @ step = -gradient over `free`, the other rows of lhs being unit;
+    a parameter whose step would cross its bound is pinned there and the rest re-solved."""
+    step, free, matrix = [0.0] * 4, list(free), lhs
+    rhs = [-g if is_free else 0.0 for is_free, g in zip(free, gradient)]
     while True:
-        rows = [k for k, is_free in enumerate(free) if is_free]
-        fixed = [k for k, is_free in enumerate(free) if not is_free]
-        rhs = [-(gradient[r] + sum([lhs[r][c] * step[c] for c in fixed])) for r in rows]
-        solution = _solve([[lhs[r][c] for c in rows] for r in rows], rhs)
+        solution = _solve(_cholesky(matrix), rhs)
         crossed = False
-        for k, value in zip(rows, solution):
-            target = min(max(theta[k] + value, LOWER[k]), UPPER[k])
-            if target == theta[k] + value:
-                step[k] = value
-            else:
-                step[k], free[k], crossed = target - theta[k], False, True
+        for k, value in enumerate(solution):
+            if free[k]:
+                target = min(max(theta[k] + value, LOWER[k]), UPPER[k])
+                if target == theta[k] + value:
+                    step[k] = value
+                else:
+                    step[k], free[k], crossed = target - theta[k], False, True
         if not crossed:
             return step
+        matrix = _unit_rows(lhs, free)
+        pinned = [0.0 if is_free else value for is_free, value in zip(free, step)]
+        rhs = [-(g + sum([a * b for a, b in zip(row, pinned)])) if is_free else 0.0
+               for is_free, g, row in zip(free, gradient, lhs)]
 
 
 def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
@@ -208,14 +213,14 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
     weights = y ** 2
     weight_sum = float(weights.sum())
     sigma_floor = 1e-9 * span
-    step_tol = (STEP_ABS, STEP_ABS, STEP_REL * span, STEP_REL * span)
+    span_tol = STEP_REL * span
+    powers = np.ones((5, x.size))  # u^0 ... u^4 of the current theta
 
-    def clamp(theta: list) -> list:
-        offset, amplitude, mu, sigma = (min(max(value, lower), upper)
-                                        for value, lower, upper in zip(theta, LOWER, UPPER))
-        return [offset, amplitude, mu, max(abs(sigma), sigma_floor)]
+    def clamp(offset: float, amplitude: float, mu: float, sigma: float) -> list:
+        return [min(max(offset, LOWER[0]), UPPER[0]), min(max(amplitude, LOWER[1]), UPPER[1]),
+                mu, max(abs(sigma), sigma_floor)]
 
-    theta = clamp([lo, hi - lo, float(x[int(y.argmax())]), span / 4])
+    theta = clamp(lo, hi - lo, float(x[int(y.argmax())]), span / 4)
 
     def cost_of(theta: list) -> tuple[float, tuple]:
         """The weighted cost, and (u, shape, residual, w r) for the next pass."""
@@ -231,28 +236,32 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
     settled = False
     iterations = 0
     while not settled and iterations < MAX_ITERATIONS:
+        powers[1] = u
+        np.multiply(u, u, out=powers[2])
+        np.multiply(powers[1:3], powers[2], out=powers[3:])
+        offset, amplitude, mu, sigma = theta
         gradient, gauss_newton, normal = _newton_system(
-            u, shape, weights, weighted_residual, weight_sum, theta[1], theta[3])
+            powers, shape, weights, weighted_residual, weight_sum, amplitude, sigma)
         free = [not (value >= upper and slope < 0 or value <= lower and slope > 0)
                 for value, slope, lower, upper in zip(theta, gradient, LOWER, UPPER)]
         try:  # the Newton matrix must be a descent metric over the free set
-            _cholesky([[normal[r][c] for c in range(4) if free[c]]
-                       for r in range(4) if free[r]])
+            _cholesky(normal := _unit_rows(normal, free))
         except np.linalg.LinAlgError:
-            normal = gauss_newton
+            normal = _unit_rows(gauss_newton, free)
         settled = True  # unless a step below lowers the cost
         for _ in range(30):
             lhs = [row[:] for row in normal]
             for k, row in enumerate(lhs):
                 row[k] += damping * (row[k] + 1e-12)
             try:
-                step = _bounded_step(lhs, gradient, theta, free)
+                d_off, d_amp, d_mu, d_sigma = _bounded_step(lhs, gradient, theta, free)
             except np.linalg.LinAlgError:
                 damping *= 10
                 continue
-            candidate = clamp([value + delta for value, delta in zip(theta, step)])
-            if all(abs(new - old) < tol
-                   for new, old, tol in zip(candidate, theta, step_tol)):
+            candidate = clamp(offset + d_off, amplitude + d_amp, mu + d_mu, sigma + d_sigma)
+            new_offset, new_amplitude, new_mu, new_sigma = candidate
+            if (abs(new_offset - offset) < STEP_ABS and abs(new_amplitude - amplitude) < STEP_ABS
+                    and abs(new_mu - mu) < span_tol and abs(new_sigma - sigma) < span_tol):
                 break  # at the minimum
             cand_cost, cand_arrays = cost_of(candidate)
             if cand_cost < cost * (1.0 - 1e-12) - 1e-20:

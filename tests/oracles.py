@@ -13,6 +13,7 @@ a second form of the package's charge-sector channel.
 Single-qubit gates are one-target register gates, and a controlled
 register unitary is one full-width register gate with its control as the
 last target.  Qubit and ancilla conventions follow `qpde.statevector`.
+`gaussian_model` is the curve that `qpde.fitting.fit_gaussian` fits.
 """
 from __future__ import annotations
 
@@ -254,3 +255,9 @@ def to_spin_eigenbasis(hamiltonian: np.ndarray, basis: list[SpinEigenfunction]) 
     if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-10:
         raise ValueError("basis is not orthonormal")
     return v.T @ hamiltonian @ v
+
+
+def gaussian_model(x: np.ndarray, offset: float, amplitude: float,
+                   mu: float, sigma: float) -> np.ndarray:
+    """The fit's surrogate offset + amplitude exp(-((x - mu) / sigma)^2 / 2)."""
+    return offset + amplitude * np.exp(-0.5 * ((x - mu) / sigma) ** 2)

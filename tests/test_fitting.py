@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import gaussian_model
 from qpde import fitting
-from qpde.fitting import (GaussianEstimate, fit_gaussian, gaussian_model,
-                          multiply_gaussians)
+from qpde.fitting import GaussianEstimate, fit_gaussian, multiply_gaussians
 
 # Ideal sweep fringes 0.5 (1 + cos((gap - x) t)) on 21 points, whose fit
 # sits on the amplitude cap: (gap, t, window centre, window half width).
@@ -217,8 +217,8 @@ def test_newton_matrix_matches_finite_difference_hessian():
                              for ei, hi in zip(eye, h)])
         u = (x - theta[2]) / theta[3]
         gradient, gauss_newton, hessian = (np.array(part) for part in fitting._newton_system(
-            u, np.exp(-0.5 * u ** 2), weights, weights * residual(theta), weights.sum(),
-            theta[1], theta[3]))
+            u ** np.arange(5)[:, None], np.exp(-0.5 * u ** 2), weights,
+            weights * residual(theta), weights.sum(), theta[1], theta[3]))
         expected_gradient = (jac * weights[:, None]).T @ residual(theta)
         expected_gauss_newton = (jac * weights[:, None]).T @ jac
         for got, want in ((gradient, expected_gradient), (gauss_newton, expected_gauss_newton),
@@ -259,11 +259,47 @@ def test_bounded_step_matches_numpy_reference():
                           rng.normal(), rng.uniform(0.1, 3)])
         free = np.array([rng.random() < 0.7, rng.random() < 0.7, True, True])
         expected, crossed = _reference_bounded_step(lhs, gradient, theta, free)
-        step = fitting._bounded_step(lhs.tolist(), gradient.tolist(), theta.tolist(),
-                                     free.tolist())
+        step = fitting._bounded_step(fitting._unit_rows(lhs.tolist(), free.tolist()),
+                                     gradient.tolist(), theta.tolist(), free.tolist())
         assert np.max(np.abs(np.array(step) - expected)) <= 1e-12 * np.max(np.abs(expected))
         pinned += crossed > 0
     assert pinned > 50
+
+
+def test_cholesky_matches_numpy_on_free_blocks():
+    # A held parameter's unit row and column leave the free block's factor
+    # and solution as numpy computes them on the block alone, and the
+    # factor raises exactly when the block is not positive definite.
+    rng = np.random.default_rng(31)
+    outcomes = {True: 0, False: 0}
+    while min(outcomes.values()) < 300:
+        root = rng.normal(size=(4, 4)) * rng.uniform(0.1, 10, size=4)
+        matrix = root @ root.T - rng.uniform(0, 1) * np.trace(root @ root.T) / 4 * np.eye(4)
+        free = rng.random(4) < 0.7
+        block = matrix[free][:, free]
+        if not free.any() or np.min(np.abs(np.linalg.eigvalsh(block))) <= 1e-6:
+            continue
+        unit = fitting._unit_rows(matrix.tolist(), free.tolist())
+        try:
+            expected = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                fitting._cholesky(unit)
+            outcomes[False] += 1
+            continue
+        factor = fitting._cholesky(unit)
+        lower = np.zeros((4, 4))
+        lower[np.tril_indices(4)] = factor
+        assert np.max(np.abs(lower[free][:, free] - expected)) <= 1e-12 * np.max(np.abs(expected))
+        held = np.eye(4)[~free]
+        assert np.array_equal(lower[~free], held) and np.array_equal(lower[:, ~free].T, held)
+        rhs = np.where(free, rng.normal(size=4), 0.0)
+        solution = np.array(fitting._solve(factor, rhs.tolist()))
+        want = np.linalg.solve(block, rhs[free])
+        assert np.max(np.abs(solution[free] - want)) <= (1e-12 * np.linalg.cond(block)
+                                                         * np.max(np.abs(want)))
+        assert not solution[~free].any()
+        outcomes[True] += 1
 
 
 def test_needs_five_points():

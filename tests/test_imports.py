@@ -26,7 +26,7 @@ TEST_ONLY_NAMES = {
     "qpde_p0", "inner_product", "_apply_gate_raw", "Gate.controlled", "Gate.control",
     "Gate.support", "Gate.single",
     "TWO_QUBIT_PAULIS", "_pauli_basis", "_pauli_transfer", "PAULI_I", "PAULI_X",
-    "PAULI_Y", "PAULI_Z", "apply_matrix",
+    "PAULI_Y", "PAULI_Z", "apply_matrix", "gaussian_model",
 }
 
 

@@ -12,8 +12,8 @@ import pytest
 
 import qpde.engine as engine
 from oracles import (TWO_QUBIT_PAULIS, apply_matrix, basis_state, circuit_p0,
-                     circuit_unitary, noisy_trajectory_p0, pauli_transfer_overlap,
-                     qpde_circuit, tensor)
+                     circuit_unitary, gaussian_model, noisy_trajectory_p0,
+                     pauli_transfer_overlap, qpde_circuit, tensor)
 from qpde import sampling
 from qpde.engine import (EstimatorConfig, PriorSpec, _branch_overlap,
                          build_excitation_unitary, sweep)
@@ -355,7 +355,6 @@ def _fitted_swing(fit, center, halfwidth):
     # The rise of the fitted curve across the window.  On a nearly flat
     # fringe the amplitude alone can sit at its cap, traded against a
     # sigma several windows wide and a lower offset.
-    from qpde.fitting import gaussian_model
     grid = np.linspace(center - halfwidth, center + halfwidth, 21)
     return np.ptp(gaussian_model(grid, fit.offset, fit.amplitude, fit.mu, fit.sigma))
 
