@@ -17,20 +17,19 @@ configuration of that name.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import traceback
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 from .engine import EstimatorConfig, PriorSpec, build_excitation_unitary, run_estimation
-from .evolution import TrotterPlan, evolution_block, trotter_circuit
+from .evolution import exchange_rotations
 from .optimizer import cost_report
 from .sampling import SamplerSpec
 from .spin import SpinSystem, exact_gap, named_state
-from .statevector import Circuit
 
 
 class ConfigError(Exception):
@@ -224,46 +223,41 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """The header and comma-joined rows in one write, in the bytes
+    `csv.writer` gives them: every field is a float's repr, an int or a
+    bare word, none of which needs quoting, and every line ends in CRLF."""
+    path.write_text("".join(f"{line}\r\n" for line in (header, *rows)), newline="")
+
+
 def _write_iterations_csv(path: Path, trace):
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "n_steps", "mu_ini", "sigma_ini", "mu_fit",
-                         "sigma_fit", "mu_upd", "sigma_upd", "restarted",
-                         "fit_iterations", "fit_reason", "fit_attempts"])
-        for row in trace:
-            writer.writerow([repr(row.t), row.n_steps, repr(row.prior.mu),
-                             repr(row.prior.sigma), repr(row.fit.mu),
-                             repr(row.fit.sigma), repr(row.posterior.mu),
-                             repr(row.posterior.sigma),
-                             "true" if row.restarted else "false",
-                             row.fit.iterations, row.fit.reason, row.fit_attempts])
+    _write_csv(path, "t,n_steps,mu_ini,sigma_ini,mu_fit,sigma_fit,mu_upd,sigma_upd,"
+                     "restarted,fit_iterations,fit_reason,fit_attempts",
+               (f"{row.t!r},{row.n_steps},{row.prior.mu!r},{row.prior.sigma!r},"
+                f"{row.fit.mu!r},{row.fit.sigma!r},{row.posterior.mu!r},"
+                f"{row.posterior.sigma!r},{'true' if row.restarted else 'false'},"
+                f"{row.fit.iterations},{row.fit.reason},{row.fit_attempts}"
+                for row in trace))
 
 
 def _write_sweeps_csv(path: Path, trace):
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration_index", "delta_eps", "p0_sampled", "p0_exact"])
-        for index, row in enumerate(trace):
-            for point in row.points:
-                writer.writerow([index, repr(point.delta_eps), repr(point.p0),
-                                 repr(point.p0_exact)])
+    _write_csv(path, "iteration_index,delta_eps,p0_sampled,p0_exact",
+               (f"{index},{point.delta_eps!r},{point.p0!r},{point.p0_exact!r}"
+                for index, row in enumerate(trace) for point in row.points))
 
 
 def _write_optimizer_csv(path: Path, system: SpinSystem, pairs):
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "n_steps", "pre_depth", "pre_two_qubit_count",
-                         "pre_gate_count", "post_depth", "post_two_qubit_count",
-                         "post_gate_count"])
-        for t, n_steps in pairs:
-            pre = cost_report(trotter_circuit(system, TrotterPlan(t / n_steps, 1)),
-                              repeats=n_steps)
-            # The collapsed circuit is the one register block the run evolves with.
-            block = evolution_block(system, t, "trotter", n_steps)
-            post = cost_report(Circuit(system.n_spins, [block]))
-            writer.writerow([repr(t), n_steps, pre.depth, pre.two_qubit_count,
-                             pre.gate_count, post.depth, post.two_qubit_count,
-                             post.gate_count])
+    n = system.n_spins
+    # The collapsed circuit is the one register block the run evolves with.
+    post = cost_report(n, [tuple(range(n))])
+    rows = []
+    for t, n_steps in pairs:
+        step = [(i - 1, j - 1) for i, j, _ in exchange_rotations(system, t / n_steps)]
+        pre = cost_report(n, step, repeats=n_steps)
+        rows.append(f"{t!r},{n_steps},{pre.depth},{pre.two_qubit_count},{pre.gate_count},"
+                    f"{post.depth},{post.two_qubit_count},{post.gate_count}")
+    _write_csv(path, "t,n_steps,pre_depth,pre_two_qubit_count,pre_gate_count,"
+                     "post_depth,post_two_qubit_count,post_gate_count", rows)
 
 
 def cmd_run(args) -> int:
@@ -275,11 +269,8 @@ def cmd_run(args) -> int:
                             cfg["estimator"], cfg["sampler"])
     _write_iterations_csv(out_dir / "iterations.csv", result.trace)
     _write_sweeps_csv(out_dir / "sweeps.csv", result.trace)
-    seen = []
-    for row in result.trace:
-        if (row.t, row.n_steps) not in seen:
-            seen.append((row.t, row.n_steps))
-    _write_optimizer_csv(out_dir / "optimizer_report.csv", cfg["system"], seen)
+    pairs = dict.fromkeys((row.t, row.n_steps) for row in result.trace)
+    _write_optimizer_csv(out_dir / "optimizer_report.csv", cfg["system"], pairs)
     summary = {
         "final": {"mu": result.final.mu, "sigma": result.final.sigma},
         "converged": result.converged,
@@ -334,7 +325,10 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every
+    `main` call in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qpde",
         description="Energy-gap estimation for small Heisenberg spin systems")

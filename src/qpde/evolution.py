@@ -13,42 +13,26 @@ factor is exact, so every step is unitary, and for a single-coupling
 system one step is already the exact evolution.  `exchange_rotations`
 lists a step's factors as (i, j, angle) in that order: the noise channel
 takes them as they are, `trotter_step_unitary` multiplies them into a
-register matrix and `trotter_circuit` lays them out as two-qubit gates
-for device-cost counts.  The exact propagator comes from the cached
-spectrum in `spin`.
+register matrix and the device-cost report counts their (i, j) supports.
+The exact propagator comes from the cached spectrum in `spin`.
 
 However many steps it holds, an evolution segment on the register is one
 fixed-size block, built and cached only by `evolution_block`: the exact
 propagator, or the one-step block raised to the n_steps power.  The
-interferometer and the CLI's cost report use it, and so does the literal
-interferometer circuit of the test oracles.
+interferometer uses it, and so does the literal interferometer circuit of
+the test oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .spin import SpinSystem, exchange_operator, system_eigensystem
-from .statevector import Circuit, Gate
+from .statevector import Gate
 
 #: Two-qubit SWAP in the (|00>, |01>, |10>, |11>) basis.
 SWAP = exchange_operator(2, 1, 2)
-
-
-@dataclass(frozen=True)
-class TrotterPlan:
-    """Evolution time and step count; term order is (i, j) ascending."""
-
-    t: float
-    n_steps: int
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if self.t < 0:
-            raise ValueError("evolution time must be non-negative")
 
 
 def _exchange_rotation(angle: float, exchange: np.ndarray) -> np.ndarray:
@@ -68,19 +52,12 @@ def exchange_rotations(system: SpinSystem, dt: float) -> list[tuple[int, int, fl
 
 
 def trotter_step_unitary(system: SpinSystem, dt: float) -> np.ndarray:
-    """Whole-register unitary of one product-formula step, the matrix
-    `trotter_circuit` builds gate by gate."""
+    """Whole-register unitary of one product-formula step: each exchange
+    rotation embedded on the register, in list order."""
     step = np.eye(system.dim, dtype=complex)
     for i, j, angle in exchange_rotations(system, dt):
         step = _exchange_rotation(angle, exchange_operator(system.n_spins, i, j)) @ step
     return step
-
-
-def trotter_circuit(system: SpinSystem, plan: TrotterPlan) -> Circuit:
-    """First-order product-formula circuit on the spin register."""
-    step_gates = [Gate.two(i - 1, j - 1, _exchange_rotation(angle, SWAP))
-                  for i, j, angle in exchange_rotations(system, plan.t / plan.n_steps)]
-    return Circuit(system.n_spins, step_gates * plan.n_steps)
 
 
 def exact_evolution(system: SpinSystem, t: float) -> np.ndarray:

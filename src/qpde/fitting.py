@@ -22,12 +22,13 @@ lowers the cost.  The iteration stops at the constrained minimum, when the
 clamped step is below STEP_ABS in offset and amplitude and STEP_REL of the
 span in mu and sigma, or when 30 damping raises in a row find no lower
 cost.  Numpy computes the residual and, in one product with a table of
-u^0 ... u^4, the moments sum(u^k v) from which the gradient, J^T W J and
-the Hessian are assembled.  The algebra is written out for its one size,
-4x4, on Python floats, which cost less here than numpy's dispatch: a held
-or pinned parameter's row and column become the unit vector and its
-right-hand side 0, which adds only exact zeros to the straight-line
-Cholesky factor and solve of the free block, so no sub-matrix is built.
+u^0 ... u^4, the moments sum(u^k v) from which the gradient and the
+Hessian are assembled, and J^T W J only when it is needed.  The algebra
+is written out for its one size, 4x4, on Python floats, which cost less
+here than numpy's dispatch: a held or pinned parameter's row and column
+become the unit vector and its right-hand side 0, which adds only exact
+zeros to the straight-line Cholesky factor and solve of the free block,
+so no sub-matrix is built.
 """
 from __future__ import annotations
 
@@ -96,11 +97,12 @@ def _fallback(x: np.ndarray, y: np.ndarray, fallback_sigma: float,
 
 def _newton_system(powers: np.ndarray, shape: np.ndarray, weights: np.ndarray,
                    weighted_residual: np.ndarray, weight_sum: float,
-                   amplitude: float, sigma: float) -> tuple[list, list, list]:
-    """Gradient, Gauss-Newton matrix J^T W J and Hessian of sum(w r^2) / 2.
-    The model's derivatives are (1, s, g s u, g s u^2) with g = amplitude /
-    sigma, so every entry is a moment sum(u^k v), v in (w s, w s^2, w r, w r s),
-    taken against `powers`, whose rows are u^0 ... u^4."""
+                   amplitude: float, sigma: float) -> tuple[list, list, tuple]:
+    """Gradient and Hessian of sum(w r^2) / 2, and the moments from which
+    `_gauss_newton` builds J^T W J.  The model's derivatives are
+    (1, s, g s u, g s u^2) with g = amplitude / sigma, so every entry is a
+    moment sum(u^k v), v in (w s, w s^2, w r, w r s), taken against
+    `powers`, whose rows are u^0 ... u^4."""
     ws = weights * shape
     ((s0, ss0, r0, rs0), (s1, ss1, _, rs1), (s2, ss2, _, rs2), (_, ss3, _, rs3),
      (_, ss4, _, rs4)) = (powers @ np.array((ws, ws * shape, weighted_residual,
@@ -108,17 +110,24 @@ def _newton_system(powers: np.ndarray, shape: np.ndarray, weights: np.ndarray,
     g = amplitude / sigma
     gg, curvature = g * g, g / sigma
     gradient = [r0, rs0, g * rs1, g * rs2]
-    gauss_newton = [[weight_sum, s0, g * s1, g * s2],
-                    [s0, ss0, g * ss1, g * ss2],
-                    [g * s1, g * ss1, gg * ss2, gg * ss3],
-                    [g * s2, g * ss2, gg * ss3, gg * ss4]]
     a_mu, a_sigma = g * ss1 + rs1 / sigma, g * ss2 + rs2 / sigma
     mu_sigma = gg * ss3 + curvature * (rs3 - 2 * rs1)
     hessian = [[weight_sum, s0, g * s1, g * s2],
                [s0, ss0, a_mu, a_sigma],
                [g * s1, a_mu, gg * ss2 + curvature * (rs2 - rs0), mu_sigma],
                [g * s2, a_sigma, mu_sigma, gg * ss4 + curvature * (rs4 - 3 * rs2)]]
-    return gradient, gauss_newton, hessian
+    return gradient, hessian, (g, ss1, ss2, ss3, ss4)
+
+
+def _gauss_newton(hessian: list, g: float, ss1: float, ss2: float, ss3: float,
+                  ss4: float) -> list:
+    """J^T W J: the Hessian of `_newton_system` without its residual terms,
+    which enter only where a mu or sigma column meets the amplitude, mu or
+    sigma row."""
+    row0, (s0, ss0, *_), (gs1, *_), (gs2, *_) = hessian
+    gg = g * g
+    return [row0, [s0, ss0, g * ss1, g * ss2], [gs1, g * ss1, gg * ss2, gg * ss3],
+            [gs2, g * ss2, gg * ss3, gg * ss4]]
 
 
 def _unit_rows(matrix: list, free: list) -> list:
@@ -240,14 +249,14 @@ def fit_gaussian(delta_eps: np.ndarray, p0: np.ndarray,
         np.multiply(u, u, out=powers[2])
         np.multiply(powers[1:3], powers[2], out=powers[3:])
         offset, amplitude, mu, sigma = theta
-        gradient, gauss_newton, normal = _newton_system(
+        gradient, hessian, moments = _newton_system(
             powers, shape, weights, weighted_residual, weight_sum, amplitude, sigma)
         free = [not (value >= upper and slope < 0 or value <= lower and slope > 0)
                 for value, slope, lower, upper in zip(theta, gradient, LOWER, UPPER)]
         try:  # the Newton matrix must be a descent metric over the free set
-            _cholesky(normal := _unit_rows(normal, free))
+            _cholesky(normal := _unit_rows(hessian, free))
         except np.linalg.LinAlgError:
-            normal = _unit_rows(gauss_newton, free)
+            normal = _unit_rows(_gauss_newton(hessian, *moments), free)
         settled = True  # unless a step below lowers the cost
         for _ in range(30):
             lhs = [row[:] for row in normal]

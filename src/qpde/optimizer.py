@@ -1,16 +1,16 @@
-"""Device-cost accounting of circuits.
+"""Device-cost accounting of circuits, from their gates' qubit supports.
 
 `cost_report` gives a circuit's depth over its qubit-dependency DAG and
-its gate tallies.  The CLI's optimizer report compares the literal
-n_steps Trotter circuit with the one register block that
-`evolution.evolution_block` collapses it to, whose cost does not depend
-on the step count.
+its gate tallies.  It needs only the ordered list of qubit sets the gates
+act on, not the gates: the CLI's optimizer report counts the literal
+n_steps Trotter circuit from the (i, j) supports of one step's exchange
+rotations, and the one register block that `evolution.evolution_block`
+collapses it to as one support spanning the register, whose cost does not
+depend on the step count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .statevector import Circuit
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,14 @@ class CostReport:
     gate_count: int
 
 
-def cost_report(circuit: Circuit, repeats: int = 1) -> CostReport:
-    """Cost of `repeats` back-to-back copies of the circuit, walked on the
-    gates' qubit supports.  Once a copy deepens every qubit it touches by
-    the same amount, each later copy does too, so the walk stops there."""
-    supports = [gate.targets for gate in circuit.gates]
+def cost_report(n_qubits: int, supports: list[tuple[int, ...]],
+                repeats: int = 1) -> CostReport:
+    """Cost of `repeats` back-to-back copies of a circuit on `n_qubits` whose
+    gates act, in order, on the qubit tuples `supports`.  Once a copy
+    deepens every qubit it touches by the same amount, each later copy does
+    too, so the walk stops there."""
     touched = {q for support in supports for q in support}
-    frontier = [0] * circuit.n_qubits
+    frontier = [0] * n_qubits
     skipped_depth = 0
     for copy in range(repeats):
         before = list(frontier)

@@ -10,15 +10,15 @@ Conventions used throughout the package:
   least significant bit.
 
 States are immutable after construction.  Gate matrices are checked for
-unitarity once, when the Gate is built.  The package builds only the gate
-kinds its circuits need: two-qubit Trotter factors, whose count is the
-device cost, and whole-register blocks.  The gate-by-gate circuit
-interpreter and its qubit-axis kernel live with the other literal
-references in the test suite (`tests/oracles.py`).
+unitarity once, when the Gate is built.  The package builds only
+whole-register evolution blocks; two-qubit gates serve the literal
+references.  Gate lists (`Circuit`), the gate-by-gate interpreter and its
+qubit-axis kernel live with the other literal references in the test
+suite (`tests/oracles.py`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,24 +88,3 @@ class Gate:
     def register(cls, targets, matrix) -> "Gate":
         return cls("register", _as_complex_matrix(matrix), tuple(targets))
 
-
-@dataclass
-class Circuit:
-    """Ordered gate list over a fixed-width register."""
-
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-
-    def __post_init__(self):
-        for gate in self.gates:
-            self._check(gate)
-
-    def _check(self, gate: Gate):
-        for q in gate.targets:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(
-                    f"gate target {q} out of range for {self.n_qubits} qubits")
-
-    def append(self, gate: Gate):
-        self._check(gate)
-        self.gates.append(gate)

@@ -1,0 +1,83 @@
+"""Byte-for-byte comparison of `qpde` artifacts between two source trees.
+
+Run from the repository root, naming the two `src` directories to compare:
+
+    python tests/compare_artifacts.py OLD_SRC NEW_SRC
+
+pytest does not collect this file.  For each tree, one child interpreter
+imports `qpde` from that tree and, through `qpde.cli.main`, runs
+`qpde run --seed S` for S in 1-3 and `qpde optimize` on every bundled
+config, each into its own directory, and records each call's exit code
+and printed line.  Each tree's output root, which `summary.json` echoes
+as `output_dir` and the printed lines name, is then replaced by one
+placeholder, and every artifact of the two trees is compared byte for
+byte.  The script prints each artifact that differs or exists on one
+side only, then a count, and exits 1 if any artifact differs.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+
+CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from qpde.cli import bundled_config_names, main
+root, seeds = sys.argv[2], [int(s) for s in sys.argv[3:]]
+calls = [[name, "run-seed%d" % seed, ["run", "--config", name, "--seed", str(seed)]]
+         for name in bundled_config_names() for seed in seeds]
+calls += [[name, "optimize", ["optimize", "--config", name]]
+          for name in bundled_config_names()]
+record = {}
+for name, leaf, argv in calls:
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(argv + ["--out", "%s/%s/%s" % (root, name, leaf)])
+    record["%s/%s" % (name, leaf)] = [code, printed.getvalue()]
+with open("%s/calls.json" % root, "w") as handle:
+    json.dump(record, handle, indent=1, sort_keys=True)
+"""
+
+
+def write_artifacts(src: Path, root: Path) -> dict[str, bytes]:
+    """Run every call against the package in `src`; return each file under
+    `root`, by relative path, with `root` replaced by a placeholder."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", CHILD, str(src.resolve()), str(root),
+                    *map(str, SEEDS)], env=env, check=True)
+    return {str(path.relative_to(root)): path.read_bytes().replace(str(root).encode(),
+                                                                    b"<out>")
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        old = write_artifacts(args.old_src, Path(tmp) / "old")
+        new = write_artifacts(args.new_src, Path(tmp) / "new")
+    differing = 0
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            print(f"only in {'old' if name in old else 'new'}: {name}")
+        elif old[name] != new[name]:
+            print(f"differs: {name}")
+        else:
+            continue
+        differing += 1
+    print(f"{len(old.keys() | new.keys()) - differing} of {len(old.keys() | new.keys())} "
+          f"artifacts identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,12 @@
 """Literal references the package's fast paths are checked against.
 
-None of this runs in an estimation.  `qpde_circuit` is the interferometer
-gate by gate: Hadamard on the ancilla, controlled excitation swap, the
-register evolution block, controlled inverse swap, trial phase, Hadamard.
+None of this runs in an estimation.  A `Circuit` is an ordered gate list
+on a fixed-width register, and `trotter_circuit` is the literal
+first-order product formula: one two-qubit exchange gate per coupling and
+step, the gates whose supports the package's device-cost report counts.
+`qpde_circuit` is the interferometer gate by gate: Hadamard on the
+ancilla, controlled excitation swap, the register evolution block,
+controlled inverse swap, trial phase, Hadamard.
 `run_circuit` and `circuit_unitary` apply such a circuit one gate at a
 time through the qubit-axis kernel `apply_matrix`, `ancilla_p0` reads the
 ancilla, `analytic_p0` is the closed-form mixture formula and
@@ -17,13 +21,14 @@ last target.  Qubit and ancilla conventions follow `qpde.statevector`.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from qpde.evolution import evolution_block
+from qpde.evolution import evolution_block, pair_term_unitary
 from qpde.spin import SpinEigenfunction, SpinSystem
-from qpde.statevector import Circuit, Gate, Statevector
+from qpde.statevector import Gate, Statevector
 
 # Single-qubit Paulis.
 PAULI_I = np.eye(2, dtype=complex)
@@ -34,6 +39,51 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _PROJECT_0 = np.diag([1.0, 0.0]).astype(complex)
 _PROJECT_1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+@dataclass
+class Circuit:
+    """Ordered gate list over a fixed-width register."""
+
+    n_qubits: int
+    gates: list[Gate] = field(default_factory=list)
+
+    def __post_init__(self):
+        for gate in self.gates:
+            self._check(gate)
+
+    def _check(self, gate: Gate):
+        for q in gate.targets:
+            if not 0 <= q < self.n_qubits:
+                raise ValueError(
+                    f"gate target {q} out of range for {self.n_qubits} qubits")
+
+    def append(self, gate: Gate):
+        self._check(gate)
+        self.gates.append(gate)
+
+
+@dataclass(frozen=True)
+class TrotterPlan:
+    """Evolution time and step count; term order is (i, j) ascending."""
+
+    t: float
+    n_steps: int
+
+    def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be at least 1")
+        if self.t < 0:
+            raise ValueError("evolution time must be non-negative")
+
+
+def trotter_circuit(system: SpinSystem, plan: TrotterPlan) -> Circuit:
+    """First-order product-formula circuit on the spin register: per step,
+    the exchange gate of each coupling in (i, j) ascending order."""
+    dt = plan.t / plan.n_steps
+    step_gates = [Gate.two(i - 1, j - 1, pair_term_unitary(strength, dt))
+                  for i, j, strength in sorted(system.couplings)]
+    return Circuit(system.n_spins, step_gates * plan.n_steps)
 
 
 def phase_shift(angle: float) -> np.ndarray:

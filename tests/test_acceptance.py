@@ -10,18 +10,17 @@ import numpy as np
 import pytest
 
 import qpde.engine as engine
-from oracles import (analytic_p0, circuit_p0, circuit_unitary, from_amplitudes,
-                     to_spin_eigenbasis)
+from oracles import (Circuit, TrotterPlan, analytic_p0, circuit_p0, circuit_unitary,
+                     from_amplitudes, to_spin_eigenbasis, trotter_circuit)
 from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
                          run_estimation)
-from qpde.evolution import TrotterPlan, evolution_block, exact_evolution, trotter_circuit
+from qpde.evolution import evolution_block, exact_evolution
 from qpde.fitting import FitResult
 from qpde.optimizer import cost_report
 from qpde.sampling import SamplerSpec
 from qpde.spin import (build_hamiltonian, exact_gap, linear_chain, named_state,
                        spin_eigenbasis, spin_eigenfunction, spin_squared,
                        system_eigensystem, triangle, two_spin_system)
-from qpde.statevector import Circuit
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 
@@ -197,7 +196,7 @@ def test_criterion_7_constant_cost_compression():
         circuit = trotter_circuit(system, TrotterPlan(t, n_steps))
         collapsed = Circuit(system.n_spins,
                             [evolution_block(system, t, "trotter", n_steps)])
-        reports.append(cost_report(collapsed))
+        reports.append(cost_report(system.n_spins, [g.targets for g in collapsed.gates]))
         exact = exact_evolution(system, t)
         dist_collapsed = np.linalg.norm(circuit_unitary(collapsed) - exact, ord=2)
         dist_trotter = np.linalg.norm(circuit_unitary(circuit) - exact, ord=2)

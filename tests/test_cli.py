@@ -1,12 +1,16 @@
 """Command line interface: configs, outputs, exit codes, reproducibility."""
 import csv
+import io
 import json
 
 import pytest
 
+import qpde.cli as cli
+from oracles import Circuit, TrotterPlan, trotter_circuit
 from qpde import fitting
-from qpde.cli import bundled_config_names, main
+from qpde.cli import bundled_config_names, build_parser, echo_config, load_config, main
 from qpde.evolution import evolution_block
+from qpde.optimizer import cost_report
 
 
 def run_cli(*argv):
@@ -237,15 +241,97 @@ def test_iterations_csv_reports_each_fit(tmp_path, monkeypatch):
     assert json.loads((out / "summary.json").read_text())["stop_reason"] == "fit_failed"
 
 
-def test_report_reuses_the_run_blocks(tmp_path):
-    # The post-collapse cost in optimizer_report.csv is read from the blocks
-    # the run evolved with: one block is built per distinct (t, n_steps).
+def test_report_reuses_the_run_blocks(tmp_path, monkeypatch):
+    # optimizer_report.csv is counted from qubit supports, so writing it
+    # builds and reads no evolution block; the run itself builds one block
+    # per distinct (t, n_steps).
+    write_report = cli._write_optimizer_csv
+    block_calls = []
+
+    def counted(*args):
+        before = evolution_block.cache_info()
+        write_report(*args)
+        block_calls.append(evolution_block.cache_info() != before)
+
+    monkeypatch.setattr(cli, "_write_optimizer_csv", counted)
     evolution_block.cache_clear()
     out = tmp_path / "run"
     assert run_cli("run", "--config", "linear_chain", "--out", str(out)) == 0
     pairs = {tuple(row[:2]) for row in read_csv(out / "iterations.csv")[1:]}
     assert len(read_csv(out / "optimizer_report.csv")) == 1 + len(pairs)
     assert evolution_block.cache_info().misses == len(pairs)
+    assert block_calls == [False]
+
+
+def test_main_reuses_its_parser_across_calls(tmp_path):
+    # One parser serves every call in the process; no flag of one call
+    # carries over into the next.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("run", "--config", "two_spin", "--seed", "5", "--mode", "noisy",
+                   "--schedule", "0.2:30", "--out", str(first)) == 2  # schedule_end
+    flagged = json.loads((first / "summary.json").read_text())
+    assert (flagged["seed"], flagged["config"]["sampler"]["mode"]) == (5, "noisy")
+    assert run_cli("run", "--config", "two_spin", "--out", str(second)) == 0
+    assert build_parser() is build_parser()
+    summary = json.loads((second / "summary.json").read_text())
+    expected = echo_config(load_config("two_spin"))
+    expected["output_dir"] = str(second)
+    assert summary["config"] == expected
+    assert summary["seed"] == expected["sampler"]["seed"] == 11
+    assert summary["config"]["sampler"]["mode"] == "shots"
+    assert summary["config"]["estimator"]["explicit_schedule"] is None
+
+
+def _csv_writer_text(header, rows):
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("flags", [["--config", "linear_chain", "--mode", "exact"],
+                                   ["--config", "frustrated_triangle", "--mode", "noisy",
+                                    "--seed", "3"]], ids=["exact", "noisy"])
+def test_artifacts_are_what_csv_writer_writes(tmp_path, monkeypatch, flags):
+    # Each CSV is written in one call; csv.writer, given the same rows with
+    # floats as their repr, is the reference for its bytes.
+    run_estimation, results = cli.run_estimation, []
+
+    def kept(*args):
+        results.append(run_estimation(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_estimation", kept)
+    out = tmp_path / "run"
+    assert run_cli("run", *flags, "--out", str(out)) in (0, 2)
+    trace, system = results[0].trace, load_config(flags[1])["system"]
+    iterations = _csv_writer_text(
+        ["t", "n_steps", "mu_ini", "sigma_ini", "mu_fit", "sigma_fit", "mu_upd",
+         "sigma_upd", "restarted", "fit_iterations", "fit_reason", "fit_attempts"],
+        [[repr(row.t), row.n_steps, repr(row.prior.mu), repr(row.prior.sigma),
+          repr(row.fit.mu), repr(row.fit.sigma), repr(row.posterior.mu),
+          repr(row.posterior.sigma), "true" if row.restarted else "false",
+          row.fit.iterations, row.fit.reason, row.fit_attempts] for row in trace])
+    sweeps = _csv_writer_text(
+        ["iteration_index", "delta_eps", "p0_sampled", "p0_exact"],
+        [[index, repr(point.delta_eps), repr(point.p0), repr(point.p0_exact)]
+         for index, row in enumerate(trace) for point in row.points])
+    report_rows = []
+    for t, n_steps in dict.fromkeys((row.t, row.n_steps) for row in trace):
+        literal = trotter_circuit(system, TrotterPlan(t, n_steps))
+        pre = cost_report(system.n_spins, [gate.targets for gate in literal.gates])
+        block = Circuit(system.n_spins, [evolution_block(system, t, "trotter", n_steps)])
+        post = cost_report(system.n_spins, [gate.targets for gate in block.gates])
+        report_rows.append([repr(t), n_steps, pre.depth, pre.two_qubit_count,
+                            pre.gate_count, post.depth, post.two_qubit_count,
+                            post.gate_count])
+    report = _csv_writer_text(
+        ["t", "n_steps", "pre_depth", "pre_two_qubit_count", "pre_gate_count",
+         "post_depth", "post_two_qubit_count", "post_gate_count"], report_rows)
+    for name, text in (("iterations.csv", iterations), ("sweeps.csv", sweeps),
+                       ("optimizer_report.csv", report)):
+        assert (out / name).read_bytes() == text.encode(), name
 
 
 def test_nonconvergence_exits_two(tmp_path):

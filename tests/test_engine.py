@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import qpde.engine as engine
-from oracles import PAULI_Z, analytic_p0, circuit_p0, circuit_unitary, from_amplitudes
+from oracles import (PAULI_Z, TrotterPlan, analytic_p0, circuit_p0, circuit_unitary,
+                     from_amplitudes, trotter_circuit)
 from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
                          check_restart, default_steps, next_time, run_estimation,
                          sweep, sweep_grid)
-from qpde.evolution import TrotterPlan, evolution_block, trotter_circuit
+from qpde.evolution import evolution_block
 from qpde.fitting import FitResult, GaussianEstimate
 from qpde.sampling import SamplerSpec
 from qpde.spin import (SpinSystem, linear_chain, named_state, system_eigensystem,

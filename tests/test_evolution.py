@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from oracles import circuit_unitary
-from qpde.evolution import TrotterPlan, exact_evolution, pair_term_unitary, trotter_circuit
+from oracles import TrotterPlan, circuit_unitary, trotter_circuit
+from qpde.evolution import exact_evolution, pair_term_unitary
 from qpde.spin import build_hamiltonian, linear_chain, named_state, triangle, two_spin_system
 
 

@@ -189,9 +189,9 @@ def test_recorded_fits_take_fewer_steps():
 
 
 def test_newton_matrix_matches_finite_difference_hessian():
-    # The moment helper's gradient and J^T W J against a central-difference
-    # Jacobian, and its Hessian of sum(w r^2) / 2 against central
-    # differences of the cost.
+    # The moment helper's gradient, and J^T W J from its moments, against a
+    # central-difference Jacobian, and its Hessian of sum(w r^2) / 2 against
+    # central differences of the cost.
     rng = np.random.default_rng(10)
     x = np.linspace(-1.5, 2.5, 21)
     for _ in range(20):
@@ -216,9 +216,11 @@ def test_newton_matrix_matches_finite_difference_hessian():
                               / (4 * hi * hj) for ej, hj in zip(eye, h)]
                              for ei, hi in zip(eye, h)])
         u = (x - theta[2]) / theta[3]
-        gradient, gauss_newton, hessian = (np.array(part) for part in fitting._newton_system(
+        gradient, hessian, moments = fitting._newton_system(
             u ** np.arange(5)[:, None], np.exp(-0.5 * u ** 2), weights,
-            weights * residual(theta), weights.sum(), theta[1], theta[3]))
+            weights * residual(theta), weights.sum(), theta[1], theta[3])
+        gradient, gauss_newton, hessian = (np.array(part) for part in (
+            gradient, fitting._gauss_newton(hessian, *moments), hessian))
         expected_gradient = (jac * weights[:, None]).T @ residual(theta)
         expected_gauss_newton = (jac * weights[:, None]).T @ jac
         for got, want in ((gradient, expected_gradient), (gauss_newton, expected_gauss_newton),

@@ -27,6 +27,7 @@ TEST_ONLY_NAMES = {
     "Gate.support", "Gate.single",
     "TWO_QUBIT_PAULIS", "_pauli_basis", "_pauli_transfer", "PAULI_I", "PAULI_X",
     "PAULI_Y", "PAULI_Z", "apply_matrix", "gaussian_model",
+    "trotter_circuit", "TrotterPlan", "Circuit",
 }
 
 

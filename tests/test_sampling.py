@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 import qpde.engine as engine
-from oracles import (TWO_QUBIT_PAULIS, apply_matrix, basis_state, circuit_p0,
-                     circuit_unitary, gaussian_model, noisy_trajectory_p0,
-                     pauli_transfer_overlap, qpde_circuit, tensor)
+from oracles import (TWO_QUBIT_PAULIS, Circuit, TrotterPlan, apply_matrix, basis_state,
+                     circuit_p0, circuit_unitary, gaussian_model, noisy_trajectory_p0,
+                     pauli_transfer_overlap, qpde_circuit, tensor, trotter_circuit)
 from qpde import sampling
 from qpde.engine import (EstimatorConfig, PriorSpec, _branch_overlap,
                          build_excitation_unitary, sweep)
-from qpde.evolution import TrotterPlan, exchange_rotations, trotter_circuit
+from qpde.evolution import exchange_rotations
 from qpde.sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
                            sample_p0)
 from qpde.spin import SpinSystem, linear_chain, named_state, triangle, two_spin_system
-from qpde.statevector import Circuit, Gate
+from qpde.statevector import Gate
 
 
 def test_sampler_spec_validation():
@@ -231,14 +231,14 @@ def test_channel_matches_pauli_transfer_form():
 
 
 def test_noisy_sweep_builds_no_gate_circuit(monkeypatch):
-    # The channel takes the step as exchange rotations, with no Gate or
-    # Circuit objects (and no per-gate unitarity checks) per (t, n_steps).
+    # The channel takes the step as exchange rotations, with no two-qubit
+    # Gate objects (and no per-gate unitarity checks) per (t, n_steps); the
+    # package has no gate-list class to build.
     def refuse(*args, **kwargs):
         raise AssertionError("a noisy sweep built a gate circuit")
 
     monkeypatch.setattr(engine, "trotter_circuit", refuse, raising=False)
     monkeypatch.setattr(Gate, "two", refuse)
-    monkeypatch.setattr(Circuit, "__post_init__", refuse)
     system = triangle(1.0, 1.0, 2.0)
     phi0, phi1, _ = _qpde_setup(system, "Q", "D2")
     points = sweep(phi0, phi1, system, 0.7, PriorSpec("gaussian", 5.0, 1.0),

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from oracles import (HADAMARD, PAULI_Z, ancilla_p0, apply_gate, basis_state,
+from oracles import (HADAMARD, PAULI_Z, Circuit, ancilla_p0, apply_gate, basis_state,
                      circuit_unitary, controlled, from_amplitudes, run_circuit, tensor)
 from qpde.spin import named_state
-from qpde.statevector import Circuit, Gate, Statevector
+from qpde.statevector import Gate, Statevector
 
 
 def random_unitary(dim, rng):
