@@ -31,11 +31,11 @@ def mixture_p0(c, d, energies, t, delta):
 
 print("Two-spin system, t = 0.2: fringe peaks at the gap (2.0)")
 system = two_spin_system(1.0)
-phi0 = named_state("T", 2).to_statevector()
-phi1 = named_state("S", 2).to_statevector()
+phi0 = named_state("T", 2).coefficients
+phi1 = named_state("S", 2).coefficients
 values, vectors = system_eigensystem(system)
-c = vectors.conj().T @ phi0.amplitudes
-d = vectors.conj().T @ phi1.amplitudes
+c = vectors.conj().T @ phi0
+d = vectors.conj().T @ phi1
 print(f"{'delta_eps':>10} {'sweep p0':>12} {'formula p0':>12}")
 for point in ideal_sweep(phi0, phi1, system, 0.2, 2.0, 4.0, 9):
     formula = mixture_p0(c, d, values, 0.2, point.delta_eps)
@@ -45,11 +45,11 @@ print()
 print("Asymmetric chain (J23 = 1.1): the doublet preparation overlaps two")
 print("eigenstates, so the fringe is a two-component mixture")
 system = linear_chain(1.0, 1.1)
-phi1 = named_state("D1", 3).to_statevector()
+phi1 = named_state("D1", 3).coefficients
 values, vectors = system_eigensystem(system)
-weights = np.abs(vectors.conj().T @ phi1.amplitudes) ** 2
+weights = np.abs(vectors.conj().T @ phi1) ** 2
 for idx in np.argsort(weights)[::-1][:3]:
     print(f"  eigenstate {idx} at E = {values[idx]:+.4f}: weight {weights[idx]:.5f}")
-phi0 = named_state("Q", 3).to_statevector()
+phi0 = named_state("Q", 3).coefficients
 peak = max(ideal_sweep(phi0, phi1, system, 1.2, 3.25, 1.25, 251), key=lambda p: p.p0)
 print(f"  fringe argmax near delta_eps = {peak.delta_eps:.3f} (exact gap 3.1536)")

@@ -37,8 +37,8 @@ for t, n_steps in ((0.2, 30), (1.0, 150), (4.2, 620)):
     step = [(i - 1, j - 1) for i, j, _ in exchange_rotations(system, t / n_steps)]
     pre = cost_report(system.n_spins, step, repeats=n_steps)
     block = evolution_block(system, t, "trotter", n_steps)
-    post = cost_report(system.n_spins, [block.targets])
-    drift = np.max(np.abs(block.matrix - trotter_unitary(system, t, n_steps)))
+    post = cost_report(system.n_spins, [tuple(range(system.n_spins))])
+    drift = np.max(np.abs(block - trotter_unitary(system, t, n_steps)))
     print(f"  t = {t:3.1f}, n = {n_steps:3d}: depth {pre.depth:4d} -> {post.depth}, "
           f"gates {pre.gate_count:4d} -> {post.gate_count}, "
           f"collapse drift {drift:.1e}")

@@ -47,11 +47,11 @@ from qpde.sampling import depolarized_overlap
 from qpde.spin import named_state
 
 system = linear_chain(1.0, 1.0)
-phi0 = named_state("Q", 3).to_statevector()
-phi1 = named_state("D2", 3).to_statevector()
+phi0 = named_state("Q", 3).coefficients
+phi1 = named_state("D2", 3).coefficients
 excitation = build_excitation_unitary(phi0, phi1)
 for t, n_steps in ((0.2, 30), (1.0, 150), (4.2, 620)):
     step = exchange_rotations(system, t / n_steps)
-    z = depolarized_overlap(phi0.amplitudes, excitation, step, n_steps, p_depol=0.002)
+    z = depolarized_overlap(phi0, excitation, step, n_steps, p_depol=0.002)
     print(f"  t={t:3.1f}, n={n_steps:3d} ({2 * n_steps:4d} two-qubit gates): "
           f"mean coherence |E[z]| = {abs(z):.3f}")

@@ -5,8 +5,7 @@ evolution collapsed to one register block, and shot/noise sampling."""
 from .engine import (EstimationResult, EstimatorConfig, IterationRecord,
                      PriorSpec, SweepPoint, build_excitation_unitary, check_restart,
                      default_steps, next_time, run_estimation, sweep)
-from .evolution import (evolution_block, exact_evolution, exchange_rotations,
-                        pair_term_unitary)
+from .evolution import evolution_block, exact_evolution, exchange_rotations
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .optimizer import CostReport, cost_report
 from .sampling import SamplerSpec, depolarized_overlap, derived_rng, sample_p0
@@ -14,6 +13,5 @@ from .spin import (SpectrumReport, SpinEigenfunction, SpinSystem, build_hamilton
                    exact_gap, linear_chain, named_state, spin_eigenbasis,
                    spin_eigenfunction, spin_squared, spin_z, system_eigensystem,
                    triangle, two_spin_system)
-from .statevector import Gate, Statevector
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -101,14 +101,14 @@ def parse_config(raw: dict) -> dict:
 
     ground = _require(raw, "ground_label", str, "config")
     excited = _require(raw, "excited_label", str, "config")
+    states = []
     for field_name, label in (("ground_label", ground), ("excited_label", excited)):
         try:
-            named_state(label, system.n_spins)
+            states.append(named_state(label, system.n_spins).coefficients)
         except ValueError as exc:
             raise ConfigError(f"{field_name}: {exc}") from exc
     try:
-        build_excitation_unitary(named_state(ground, system.n_spins).to_statevector(),
-                                 named_state(excited, system.n_spins).to_statevector())
+        build_excitation_unitary(*states)
     except ValueError as exc:
         raise ConfigError(f"excited_label: {exc}") from exc
 

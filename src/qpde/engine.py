@@ -52,8 +52,8 @@ from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussia
 from .sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
                        sample_p0)
 from .spin import SpinSystem, exact_gap, named_state
-from .statevector import Statevector
 
+NORM_ATOL = 1e-12
 ORTHOGONALITY_ATOL = 1e-10
 
 
@@ -146,19 +146,25 @@ class EstimationResult:
         return self.stop_reason == "converged"
 
 
-def build_excitation_unitary(phi0: Statevector, phi1: Statevector) -> np.ndarray:
+def build_excitation_unitary(phi0, phi1) -> np.ndarray:
     """Swap-reflection unitary exchanging the two preparation states.
 
     U = |phi1><phi0| + |phi0><phi1| + (identity on the orthogonal
-    complement); Hermitian and involutory.  The second state is
-    orthogonalized against the first internally, so the construction is
-    exactly unitary; inputs further than 1e-10 from orthogonal are
-    rejected.
+    complement); Hermitian and involutory.  phi0 and phi1 are amplitude
+    vectors of one length, each normalized to within 1e-12.  The second
+    state is orthogonalized against the first internally, so the
+    construction is exactly unitary; inputs further than 1e-10 from
+    orthogonal are rejected.
     """
-    if phi0.n_qubits != phi1.n_qubits:
-        raise ValueError("states have different qubit counts")
-    a = phi0.amplitudes
-    b = phi1.amplitudes
+    a = np.asarray(phi0, dtype=complex)
+    b = np.asarray(phi1, dtype=complex)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"preparation states need amplitude vectors of one length, "
+                         f"got shapes {a.shape} and {b.shape}")
+    for vec in (a, b):
+        norm = float(np.sum(np.abs(vec) ** 2))
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise ValueError(f"preparation state is not normalized: |psi|^2 = {norm!r}")
     overlap = complex(np.vdot(a, b))
     if abs(overlap) > ORTHOGONALITY_ATOL:
         raise ValueError(f"preparation states are not orthogonal "
@@ -170,13 +176,13 @@ def build_excitation_unitary(phi0: Statevector, phi1: Statevector) -> np.ndarray
             + np.eye(dim, dtype=complex) - np.outer(a, a.conj()) - np.outer(b, b.conj()))
 
 
-def _branch_overlap(phi0: Statevector, excitation: np.ndarray, system: SpinSystem,
+def _branch_overlap(phi0: np.ndarray, excitation: np.ndarray, system: SpinSystem,
                     t: float, evolution: str, n_steps: int | None) -> complex:
     """z = <U phi0| E^dag U E phi0>: the two interferometer branches after
     the register evolution U, compared through the inverse swap."""
-    evolved = evolution_block(system, t, evolution, n_steps).matrix
-    chi0 = evolved @ phi0.amplitudes
-    chi1 = evolved @ (excitation @ phi0.amplitudes)
+    evolved = evolution_block(system, t, evolution, n_steps)
+    chi0 = evolved @ phi0
+    chi1 = evolved @ (excitation @ phi0)
     return complex(np.vdot(chi0, excitation.conj().T @ chi1))
 
 
@@ -187,7 +193,7 @@ def sweep_grid(prior_mu: float, prior_sigma: float, grid_points: int) -> np.ndar
 class _SweepEvaluator:
     """Evaluates one iteration's sweep under the configured sampler."""
 
-    def __init__(self, phi0: Statevector, system: SpinSystem,
+    def __init__(self, phi0: np.ndarray, system: SpinSystem,
                  excitation: np.ndarray, config: EstimatorConfig,
                  sampler: SamplerSpec):
         self.phi0 = phi0
@@ -203,7 +209,7 @@ class _SweepEvaluator:
         key = (t, n_steps)
         if key not in self._noisy_overlaps:
             self._noisy_overlaps[key] = depolarized_overlap(
-                self.phi0.amplitudes, self.excitation,
+                self.phi0, self.excitation,
                 exchange_rotations(self.system, t / n_steps), n_steps,
                 self.sampler.p_depol)
         return self._noisy_overlaps[key]
@@ -228,12 +234,14 @@ class _SweepEvaluator:
                 for delta, value, p in zip(grid, values, exact)]
 
 
-def sweep(phi0: Statevector, phi1: Statevector, system: SpinSystem, t: float,
+def sweep(phi0, phi1, system: SpinSystem, t: float,
           prior: PriorSpec, config: EstimatorConfig, sampler: SamplerSpec,
           n_steps: int | None = None, iteration: int = 0) -> list[SweepPoint]:
-    """Standalone sweep across the prior's +-1 sigma window."""
+    """Standalone sweep across the prior's +-1 sigma window, from the
+    amplitude vectors of the two preparation states."""
     if n_steps is None:
         n_steps = default_steps(system, t, config.steps_per_unit_time)
+    phi0 = np.asarray(phi0, dtype=complex)
     excitation = build_excitation_unitary(phi0, phi1)
     evaluator = _SweepEvaluator(phi0, system, excitation, config, sampler)
     grid = sweep_grid(prior.mu, prior.sigma, config.grid_points)
@@ -274,8 +282,8 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
     """Full sweep -> fit -> restart-check -> multiply -> converge loop."""
     config = config or EstimatorConfig()
     sampler = sampler or SamplerSpec()
-    phi0 = named_state(phi0_label, system.n_spins).to_statevector()
-    phi1 = named_state(phi1_label, system.n_spins).to_statevector()
+    phi0 = named_state(phi0_label, system.n_spins).coefficients.astype(complex)
+    phi1 = named_state(phi1_label, system.n_spins).coefficients.astype(complex)
     excitation = build_excitation_unitary(phi0, phi1)
     evaluator = _SweepEvaluator(phi0, system, excitation, config, sampler)
     _, reference_gap = exact_gap(system, phi0_label, phi1_label)

@@ -17,10 +17,10 @@ register matrix and the device-cost report counts their (i, j) supports.
 The exact propagator comes from the cached spectrum in `spin`.
 
 However many steps it holds, an evolution segment on the register is one
-fixed-size block, built and cached only by `evolution_block`: the exact
-propagator, or the one-step block raised to the n_steps power.  The
-interferometer uses it, and so does the literal interferometer circuit of
-the test oracles.
+fixed-size read-only matrix, built and cached only by `evolution_block`:
+the exact propagator, or the polar factor of the one-step block raised to
+the n_steps power.  The interferometer uses it, and so does the literal
+interferometer circuit of the test oracles.
 """
 from __future__ import annotations
 
@@ -29,20 +29,11 @@ from functools import lru_cache
 import numpy as np
 
 from .spin import SpinSystem, exchange_operator, system_eigensystem
-from .statevector import Gate
-
-#: Two-qubit SWAP in the (|00>, |01>, |10>, |11>) basis.
-SWAP = exchange_operator(2, 1, 2)
 
 
 def _exchange_rotation(angle: float, exchange: np.ndarray) -> np.ndarray:
     return (np.exp(-0.5j * angle)
             * (np.cos(angle) * np.eye(len(exchange)) + 1j * np.sin(angle) * exchange))
-
-
-def pair_term_unitary(strength: float, dt: float) -> np.ndarray:
-    """exp(-i h dt) for one coupling term h = -2J (S_i . S_j)."""
-    return _exchange_rotation(strength * dt, SWAP)
 
 
 def exchange_rotations(system: SpinSystem, dt: float) -> list[tuple[int, int, float]]:
@@ -69,17 +60,20 @@ def exact_evolution(system: SpinSystem, t: float) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def evolution_block(system: SpinSystem, t: float, evolution: str,
-                    n_steps: int | None) -> Gate:
-    """Register-wide gate of exp(-iHt), exact or as n_steps Trotter steps."""
-    targets = tuple(range(system.n_spins))
+                    n_steps: int | None) -> np.ndarray:
+    """Read-only register matrix of exp(-iHt), exact or as n_steps Trotter
+    steps; the cache hands every caller the same array."""
     if evolution == "exact":
-        return Gate.register(targets, exact_evolution(system, t))
-    if evolution == "trotter":
+        block = exact_evolution(system, t)
+    elif evolution == "trotter":
         if n_steps is None:
             raise ValueError("trotter evolution requires n_steps")
         # The power multiplies the step's rounding error by n_steps; its
         # polar factor is the nearest unitary.
         one_step = trotter_step_unitary(system, t / n_steps)
         w, _, vh = np.linalg.svd(np.linalg.matrix_power(one_step, n_steps))
-        return Gate.register(targets, w @ vh)
-    raise ValueError(f"evolution mode {evolution!r} not recognized")
+        block = w @ vh
+    else:
+        raise ValueError(f"evolution mode {evolution!r} not recognized")
+    block.setflags(write=False)
+    return block

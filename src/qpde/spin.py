@@ -18,7 +18,14 @@ paths in descending lexicographic order, so d=1 always descends through
 the highest intermediate spins (for three spins, d=1 is the doublet built
 from the triplet, d=2 the one built from the singlet).
 
-Qubit encoding follows statevector.py: spin i sits on qubit i-1, up=|0>.
+Qubit conventions, used throughout the package and its test oracles:
+
+* Qubits are indexed from 0, and qubit 0 is the MOST significant bit of
+  the basis index.  Spin i of a spin system (1-based, physics style) sits
+  on qubit i - 1, so e.g. the three-spin basis state |001> has index 1.
+* Spin-up |a> maps to |0>, spin-down |b> maps to |1>.
+* An ancilla qubit is appended after the register, i.e. it occupies the
+  least significant bit.
 """
 from __future__ import annotations
 
@@ -29,7 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevector import Statevector
 
 @dataclass(frozen=True)
 class SpinSystem:
@@ -137,9 +143,6 @@ class SpinEigenfunction:
             raise ValueError(f"eigenfunction not normalized: {norm!r}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-
-    def to_statevector(self) -> Statevector:
-        return Statevector(self.coefficients.astype(complex), self.n)
 
 
 def _branch_paths(n: int, s: Fraction) -> list[tuple[Fraction, ...]]:

@@ -6,17 +6,19 @@ Run from the repository root, naming the two `src` directories to compare:
 
 pytest does not collect this file.  For each tree, one child interpreter
 imports `qpde` from that tree and, through `qpde.cli.main`, runs
-`qpde run --seed S` for S in 1-3 and `qpde optimize` on every bundled
-config, each into its own directory, and records each call's exit code
-and printed line.  Each tree's output root, which `summary.json` echoes
-as `output_dir` and the printed lines name, is then replaced by one
-placeholder, and every artifact of the two trees is compared byte for
-byte.  The script prints each artifact that differs or exists on one
-side only, then a count, and exits 1 if any artifact differs.
+`qpde run --seed S` for S in 1-3, `qpde run --seed 1 --mode M` for M in
+exact and noisy, and `qpde optimize` on every bundled config, each into
+its own directory, and records each call's exit code and printed line.
+Each tree's output root, which `summary.json` echoes as `output_dir` and
+the printed lines name, is then replaced by one placeholder, and every
+artifact of the two trees is compared byte for byte.  The script prints
+each artifact that differs or exists on one side only, then a count, and
+exits 1 if any artifact differs.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -24,14 +26,17 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+MODES = ("exact", "noisy")
 
 CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from qpde.cli import bundled_config_names, main
-root, seeds = sys.argv[2], [int(s) for s in sys.argv[3:]]
+root, seeds, modes = sys.argv[2], json.loads(sys.argv[3]), json.loads(sys.argv[4])
 calls = [[name, "run-seed%d" % seed, ["run", "--config", name, "--seed", str(seed)]]
          for name in bundled_config_names() for seed in seeds]
+calls += [[name, "run-" + mode, ["run", "--config", name, "--seed", "1", "--mode", mode]]
+          for name in bundled_config_names() for mode in modes]
 calls += [[name, "optimize", ["optimize", "--config", name]]
           for name in bundled_config_names()]
 record = {}
@@ -51,7 +56,7 @@ def write_artifacts(src: Path, root: Path) -> dict[str, bytes]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, "-c", CHILD, str(src.resolve()), str(root),
-                    *map(str, SEEDS)], env=env, check=True)
+                    json.dumps(SEEDS), json.dumps(MODES)], env=env, check=True)
     return {str(path.relative_to(root)): path.read_bytes().replace(str(root).encode(),
                                                                     b"<out>")
             for path in sorted(root.rglob("*")) if path.is_file()}

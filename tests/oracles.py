@@ -1,7 +1,12 @@
 """Literal references the package's fast paths are checked against.
 
-None of this runs in an estimation.  A `Circuit` is an ordered gate list
-on a fixed-width register, and `trotter_circuit` is the literal
+None of this runs in an estimation.  A `Statevector` is a normalized
+amplitude vector and a `Gate` a unitary on an ordered tuple of target
+qubits; each checks its input once, when it is built, so every literal
+comparison that wraps the package's evolution block in a `Gate` also
+checks that block's unitarity to 1e-12.  `pair_term_unitary` is the
+two-qubit exchange rotation in closed form.  A `Circuit` is an ordered
+gate list on a fixed-width register, and `trotter_circuit` is the literal
 first-order product formula: one two-qubit exchange gate per coupling and
 step, the gates whose supports the package's device-cost report counts.
 `qpde_circuit` is the interferometer gate by gate: Hadamard on the
@@ -16,7 +21,8 @@ that channel as real Pauli transfer matrices on the whole operator space,
 a second form of the package's charge-sector channel.
 Single-qubit gates are one-target register gates, and a controlled
 register unitary is one full-width register gate with its control as the
-last target.  Qubit and ancilla conventions follow `qpde.statevector`.
+last target.  Qubit and ancilla conventions are those of the `qpde.spin`
+module docstring.
 `gaussian_model` is the curve that `qpde.fitting.fit_gaussian` fits.
 """
 from __future__ import annotations
@@ -26,9 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from qpde.evolution import evolution_block, pair_term_unitary
-from qpde.spin import SpinEigenfunction, SpinSystem
-from qpde.statevector import Gate, Statevector
+from qpde.evolution import evolution_block
+from qpde.spin import SpinEigenfunction, SpinSystem, exchange_operator
 
 # Single-qubit Paulis.
 PAULI_I = np.eye(2, dtype=complex)
@@ -39,6 +44,82 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _PROJECT_0 = np.diag([1.0, 0.0]).astype(complex)
 _PROJECT_1 = np.diag([0.0, 1.0]).astype(complex)
+
+#: Two-qubit SWAP in the (|00>, |01>, |10>, |11>) basis.
+SWAP = exchange_operator(2, 1, 2)
+
+NORM_ATOL = 1e-12
+UNITARY_ATOL = 1e-12
+
+
+def _as_complex_matrix(matrix) -> np.ndarray:
+    m = np.array(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"gate matrix must be square, got shape {m.shape}")
+    return m
+
+
+@dataclass(frozen=True)
+class Statevector:
+    """Normalized complex amplitudes over the 2**n_qubits basis states."""
+
+    amplitudes: np.ndarray
+    n_qubits: int
+
+    def __post_init__(self):
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.ndim != 1 or amps.size != 2 ** self.n_qubits:
+            raise ValueError(
+                f"amplitude vector of length {amps.size} does not match "
+                f"{self.n_qubits} qubits")
+        norm = np.sum(np.abs(amps) ** 2)
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise ValueError(f"state is not normalized: |psi|^2 = {norm!r}")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A unitary acting on an explicit ordered set of target qubits.
+
+    kind is "two" (a 4x4 unitary on an ordered qubit pair) or "register"
+    (acts on all listed targets as one block).
+    """
+
+    kind: str
+    matrix: np.ndarray
+    targets: tuple[int, ...]
+
+    def __post_init__(self):
+        m = _as_complex_matrix(self.matrix)
+        if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > UNITARY_ATOL:
+            raise ValueError("gate matrix is not unitary within 1e-12")
+        if m.shape[0] != 2 ** len(self.targets):
+            raise ValueError(
+                f"{m.shape[0]}x{m.shape[0]} matrix does not act on "
+                f"{len(self.targets)} qubits")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError(f"duplicate target qubits in {self.targets}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
+
+    @classmethod
+    def two(cls, qubit_a: int, qubit_b: int, matrix) -> "Gate":
+        """4x4 unitary on the ordered pair (qubit_a, qubit_b)."""
+        return cls("two", _as_complex_matrix(matrix), (qubit_a, qubit_b))
+
+    @classmethod
+    def register(cls, targets, matrix) -> "Gate":
+        return cls("register", _as_complex_matrix(matrix), tuple(targets))
+
+
+def pair_term_unitary(strength: float, dt: float) -> np.ndarray:
+    """exp(-i h dt) for one coupling term h = -2J (S_i . S_j):
+    e^{-iJ dt/2} (cos(J dt) I + i sin(J dt) SWAP)."""
+    angle = strength * dt
+    return np.exp(-0.5j * angle) * (np.cos(angle) * np.eye(4) + 1j * np.sin(angle) * SWAP)
 
 
 @dataclass
@@ -177,19 +258,20 @@ def qpde_circuit(system: SpinSystem, excitation: np.ndarray, t: float,
     circuit = Circuit(n + 1)
     circuit.append(Gate.register((ancilla,), HADAMARD))
     circuit.append(controlled(ancilla, register, excitation))
-    circuit.append(evolution_block(system, t, evolution, n_steps))
+    circuit.append(Gate.register(register, evolution_block(system, t, evolution, n_steps)))
     circuit.append(controlled(ancilla, register, excitation.conj().T))
     circuit.append(Gate.register((ancilla,), phase_shift(delta_eps * t)))
     circuit.append(Gate.register((ancilla,), HADAMARD))
     return circuit
 
 
-def circuit_p0(phi0: Statevector, excitation: np.ndarray, system: SpinSystem,
+def circuit_p0(phi0: np.ndarray, excitation: np.ndarray, system: SpinSystem,
                t: float, delta_eps: float, evolution: str = "exact",
                n_steps: int | None = None) -> float:
-    """Ancilla |0> probability of the literal circuit run on phi0 (x) |0>."""
+    """Ancilla |0> probability of the literal circuit run on the register
+    amplitudes phi0, tensored with an ancilla in |0>."""
     circuit = qpde_circuit(system, excitation, t, delta_eps, evolution, n_steps)
-    final = run_circuit(tensor(phi0, basis_state(1, 0)), circuit)
+    final = run_circuit(tensor(from_amplitudes(phi0), basis_state(1, 0)), circuit)
     return ancilla_p0(final, system.n_spins)
 
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import qpde.engine as engine
-from oracles import (Circuit, TrotterPlan, analytic_p0, circuit_p0, circuit_unitary,
-                     from_amplitudes, to_spin_eigenbasis, trotter_circuit)
+from oracles import (Circuit, Gate, TrotterPlan, analytic_p0, circuit_p0,
+                     circuit_unitary, to_spin_eigenbasis, trotter_circuit)
 from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
                          run_estimation)
 from qpde.evolution import evolution_block, exact_evolution
@@ -80,8 +80,8 @@ def test_criterion_2_circuit_matches_mixture_formula():
             system = triangle(*(float(j) for j in rng.uniform(-2, 2, size=3)))
         values, vectors = system_eigensystem(system)
         j, k = rng.choice(values.size, size=2, replace=False)
-        phi0 = from_amplitudes(vectors[:, j])
-        phi1 = from_amplitudes(vectors[:, k])
+        phi0 = vectors[:, j]
+        phi1 = vectors[:, k]
         t = float(rng.uniform(0, 5))
         delta = float(rng.uniform(-10, 10))
         circuit_value = circuit_p0(phi0, build_excitation_unitary(phi0, phi1), system,
@@ -194,8 +194,9 @@ def test_criterion_7_constant_cost_compression():
     reports = []
     for t, n_steps in ((0.2, 30), (4.2, 620)):
         circuit = trotter_circuit(system, TrotterPlan(t, n_steps))
+        block = evolution_block(system, t, "trotter", n_steps)
         collapsed = Circuit(system.n_spins,
-                            [evolution_block(system, t, "trotter", n_steps)])
+                            [Gate.register(range(system.n_spins), block)])
         reports.append(cost_report(system.n_spins, [g.targets for g in collapsed.gates]))
         exact = exact_evolution(system, t)
         dist_collapsed = np.linalg.norm(circuit_unitary(collapsed) - exact, ord=2)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import qpde.cli as cli
-from oracles import Circuit, TrotterPlan, trotter_circuit
+from oracles import Circuit, Gate, TrotterPlan, trotter_circuit
 from qpde import fitting
 from qpde.cli import bundled_config_names, build_parser, echo_config, load_config, main
 from qpde.evolution import evolution_block
@@ -321,7 +321,8 @@ def test_artifacts_are_what_csv_writer_writes(tmp_path, monkeypatch, flags):
     for t, n_steps in dict.fromkeys((row.t, row.n_steps) for row in trace):
         literal = trotter_circuit(system, TrotterPlan(t, n_steps))
         pre = cost_report(system.n_spins, [gate.targets for gate in literal.gates])
-        block = Circuit(system.n_spins, [evolution_block(system, t, "trotter", n_steps)])
+        block = Circuit(system.n_spins, [Gate.register(
+            range(system.n_spins), evolution_block(system, t, "trotter", n_steps))])
         post = cost_report(system.n_spins, [gate.targets for gate in block.gates])
         report_rows.append([repr(t), n_steps, pre.depth, pre.two_qubit_count,
                             pre.gate_count, post.depth, post.two_qubit_count,

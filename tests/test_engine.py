@@ -7,20 +7,20 @@ import pytest
 
 import qpde.engine as engine
 from oracles import (PAULI_Z, TrotterPlan, analytic_p0, circuit_p0, circuit_unitary,
-                     from_amplitudes, trotter_circuit)
+                     trotter_circuit)
 from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
                          check_restart, default_steps, next_time, run_estimation,
                          sweep, sweep_grid)
 from qpde.evolution import evolution_block
 from qpde.fitting import FitResult, GaussianEstimate
 from qpde.sampling import SamplerSpec
-from qpde.spin import (SpinSystem, linear_chain, named_state, system_eigensystem,
-                       triangle, two_spin_system)
+from qpde.spin import (SpinSystem, build_hamiltonian, linear_chain, named_state,
+                       system_eigensystem, triangle, two_spin_system)
 
 
 def _states(system, ground, excited):
-    return (named_state(ground, system.n_spins).to_statevector(),
-            named_state(excited, system.n_spins).to_statevector())
+    return (named_state(ground, system.n_spins).coefficients.astype(complex),
+            named_state(excited, system.n_spins).coefficients.astype(complex))
 
 
 def _sweep_p0(phi0, phi1, system, t, centre, evolution="exact", n_steps=None,
@@ -41,27 +41,43 @@ def _centre_p0(*args, **kwargs):
 def test_excitation_unitary_swaps_and_reflects():
     phi0, phi1 = _states(two_spin_system(1.0), "T", "S")
     u = build_excitation_unitary(phi0, phi1)
-    assert np.allclose(u @ phi0.amplitudes, phi1.amplitudes, atol=1e-12)
-    assert np.allclose(u @ phi1.amplitudes, phi0.amplitudes, atol=1e-12)
+    assert np.allclose(u @ phi0, phi1, atol=1e-12)
+    assert np.allclose(u @ phi1, phi0, atol=1e-12)
     assert np.allclose(u, u.conj().T, atol=1e-12)          # Hermitian
     assert np.allclose(u @ u, np.eye(4), atol=1e-12)        # involution
     # On the T/S pair the action restricted to span{|01>, |10>} is Z on
     # the first spin.
     z1 = np.kron(PAULI_Z, np.eye(2))
-    for vec in (phi0.amplitudes, phi1.amplitudes):
+    for vec in (phi0, phi1):
         assert np.allclose(u @ vec, z1 @ vec, atol=1e-12)
 
 
 def test_excitation_unitary_three_spin_pair():
     phi0, phi1 = _states(linear_chain(1.0, 1.0), "Q", "D2")
     u = build_excitation_unitary(phi0, phi1)
-    overlap = np.vdot(phi1.amplitudes, u @ phi0.amplitudes)
+    overlap = np.vdot(phi1, u @ phi0)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("phi0, phi1", [
+    (np.array([np.sqrt(1 + 1e-9), 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])),
+    (np.array([1.0, 0.0, 0.0, 0.0]), np.eye(8)[1]),
+], ids=["norm_off_by_1e-9", "lengths_4_and_8"])
+def test_preparation_vectors_are_checked_at_the_boundary(phi0, phi1):
+    # Amplitude vectors arrive from outside the package: a norm further
+    # than 1e-12 from 1 or two lengths that differ are rejected before any
+    # matrix is built, by the standalone sweep as well.
+    system = two_spin_system(1.0)
+    with pytest.raises(ValueError):
+        build_excitation_unitary(phi0, phi1)
+    with pytest.raises(ValueError):
+        sweep(phi0, phi1, system, 0.2, PriorSpec("gaussian", 2.0, 1.0),
+              EstimatorConfig(), SamplerSpec(mode="exact"))
+
+
 def test_excitation_unitary_rejects_non_orthogonal():
-    phi0 = from_amplitudes([1.0, 0.0])
-    tilted = from_amplitudes([np.sqrt(0.02), np.sqrt(0.98)])
+    phi0 = np.array([1.0, 0.0])
+    tilted = np.array([np.sqrt(0.02), np.sqrt(0.98)])
     with pytest.raises(ValueError, match="orthogonal"):
         build_excitation_unitary(phi0, tilted)
 
@@ -93,8 +109,8 @@ def test_circuit_matches_mixture_formula_for_eigenstate_pairs():
         values, vectors = system_eigensystem(system)
         dim = values.size
         j, k = rng.choice(dim, size=2, replace=False)
-        phi0 = from_amplitudes(vectors[:, j])
-        phi1 = from_amplitudes(vectors[:, k])
+        phi0 = vectors[:, j]
+        phi1 = vectors[:, k]
         t = rng.uniform(0, 5)
         delta = rng.uniform(-10, 10)
         circuit_value = circuit_p0(phi0, build_excitation_unitary(phi0, phi1), system,
@@ -145,8 +161,8 @@ def test_asymmetric_chain_signal_is_two_component_mixture():
     system = linear_chain(1.0, 1.1)
     phi0, phi1 = _states(system, "Q", "D1")
     values, vectors = system_eigensystem(system)
-    c = vectors.conj().T @ phi0.amplitudes
-    d = vectors.conj().T @ phi1.amplitudes
+    c = vectors.conj().T @ phi0
+    d = vectors.conj().T @ phi1
     weights = np.abs(d) ** 2
     assert np.sort(weights)[-1] > 0.99  # dominant upper-doublet component
     for delta, value in _sweep_p0(phi0, phi1, system, 1.2, 2.0, half_width=2.0,
@@ -191,13 +207,26 @@ def test_sweep_matches_literal_circuit(system, ground, excited, evolution):
         assert point.p0 == pytest.approx(literal, abs=1e-12)
 
 
-def test_long_trotter_block_stays_unitary():
-    # A matrix power of the one-step block drifts from unitarity by about
-    # 1e-15 per step and fails the gate's 1e-12 check here.
-    system = triangle(0.7805, 1.2124, 0.7805)
-    block = evolution_block(system, 8.0, "trotter", 1200).matrix
-    assert np.max(np.abs(block.conj().T @ block - np.eye(8))) < 1e-13
-    literal = circuit_unitary(trotter_circuit(system, TrotterPlan(8.0, 1200)))
+_RANDOM_CHAIN = linear_chain(*np.random.default_rng(19).uniform(-2, 2, size=2))
+
+
+@pytest.mark.parametrize("evolution", ["exact", "trotter"])
+@pytest.mark.parametrize("system", [triangle(0.7805, 1.2124, 0.7805), _RANDOM_CHAIN],
+                         ids=["triangle", "random_chain"])
+def test_long_trotter_block_stays_unitary(system, evolution):
+    # A bare matrix power of the one-step block drifts from unitarity by
+    # about 1e-15 per step, past 1e-12 at 1200 steps.  The block is shared
+    # through the cache, so it must be read-only.
+    block = evolution_block(system, 8.0, evolution, 1200)
+    assert isinstance(block, np.ndarray)
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
+    assert np.max(np.abs(block.conj().T @ block - np.eye(system.dim))) < 1e-13
+    if evolution == "trotter":
+        literal = circuit_unitary(trotter_circuit(system, TrotterPlan(8.0, 1200)))
+    else:
+        values, vectors = np.linalg.eigh(build_hamiltonian(system))
+        literal = (vectors * np.exp(-8.0j * values)) @ vectors.conj().T
     assert np.max(np.abs(block - literal)) < 1e-10
 
 
@@ -213,7 +242,7 @@ def test_trotter_block_matches_literal_step_circuit(system, t, n_steps):
     # raised to the step count and projected onto the unitaries alike.
     one_step = circuit_unitary(trotter_circuit(system, TrotterPlan(t / n_steps, 1)))
     w, _, vh = np.linalg.svd(np.linalg.matrix_power(one_step, n_steps))
-    block = evolution_block(system, t, "trotter", n_steps).matrix
+    block = evolution_block(system, t, "trotter", n_steps)
     assert np.max(np.abs(block - w @ vh)) <= 1e-14
 
 

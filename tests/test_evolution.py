@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from oracles import TrotterPlan, circuit_unitary, trotter_circuit
-from qpde.evolution import exact_evolution, pair_term_unitary
+from oracles import TrotterPlan, circuit_unitary, pair_term_unitary, trotter_circuit
+from qpde.evolution import exact_evolution
 from qpde.spin import build_hamiltonian, linear_chain, named_state, triangle, two_spin_system
 
 

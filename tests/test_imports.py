@@ -28,6 +28,8 @@ TEST_ONLY_NAMES = {
     "TWO_QUBIT_PAULIS", "_pauli_basis", "_pauli_transfer", "PAULI_I", "PAULI_X",
     "PAULI_Y", "PAULI_Z", "apply_matrix", "gaussian_model",
     "trotter_circuit", "TrotterPlan", "Circuit",
+    "Gate", "Gate.two", "Gate.register", "Statevector", "SWAP", "pair_term_unitary",
+    "SpinEigenfunction.to_statevector",
 }
 
 

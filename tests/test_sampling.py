@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import qpde.engine as engine
-from oracles import (TWO_QUBIT_PAULIS, Circuit, TrotterPlan, apply_matrix, basis_state,
-                     circuit_p0, circuit_unitary, gaussian_model, noisy_trajectory_p0,
-                     pauli_transfer_overlap, qpde_circuit, tensor, trotter_circuit)
+from oracles import (TWO_QUBIT_PAULIS, Circuit, Gate, TrotterPlan, apply_matrix,
+                     basis_state, circuit_p0, circuit_unitary, from_amplitudes,
+                     gaussian_model, noisy_trajectory_p0, pauli_transfer_overlap,
+                     qpde_circuit, tensor, trotter_circuit)
 from qpde import sampling
 from qpde.engine import (EstimatorConfig, PriorSpec, _branch_overlap,
                          build_excitation_unitary, sweep)
@@ -21,7 +22,6 @@ from qpde.evolution import exchange_rotations
 from qpde.sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
                            sample_p0)
 from qpde.spin import SpinSystem, linear_chain, named_state, triangle, two_spin_system
-from qpde.statevector import Gate
 
 
 def test_sampler_spec_validation():
@@ -79,8 +79,8 @@ def test_derived_streams_are_order_independent():
 
 
 def _qpde_setup(system, ground, excited):
-    phi0 = named_state(ground, system.n_spins).to_statevector()
-    phi1 = named_state(excited, system.n_spins).to_statevector()
+    phi0 = named_state(ground, system.n_spins).coefficients.astype(complex)
+    phi1 = named_state(excited, system.n_spins).coefficients.astype(complex)
     return phi0, phi1, build_excitation_unitary(phi0, phi1)
 
 
@@ -89,7 +89,7 @@ def test_noiseless_trajectory_reduces_to_exact_probability():
     phi0, phi1, excitation = _qpde_setup(system, "T", "S")
     circuit = qpde_circuit(system, excitation, 0.2, 1.1,
                            evolution="trotter", n_steps=1)
-    init = tensor(phi0, basis_state(1, 0))
+    init = tensor(from_amplitudes(phi0), basis_state(1, 0))
     value = noisy_trajectory_p0(circuit, 0.0, derived_rng(0), shots=17,
                                 ancilla_index=2, initial_state=init)
     expected = circuit_p0(phi0, excitation, system, 0.2, 1.1, evolution="trotter",
@@ -98,7 +98,7 @@ def test_noiseless_trajectory_reduces_to_exact_probability():
 
 
 def _channel_z(system, phi0, excitation, t, n_steps, p_depol):
-    return depolarized_overlap(phi0.amplitudes, excitation,
+    return depolarized_overlap(phi0, excitation,
                                exchange_rotations(system, t / n_steps), n_steps, p_depol)
 
 
@@ -123,7 +123,7 @@ def _dm_channel_p0(system, phi0, excitation, t, n_steps, delta, p_depol):
     literal = Circuit(n, [full.gates[0], full.gates[1]]
                       + [Gate.two(*g.targets, g.matrix) for g in evo_gates]
                       + list(full.gates[3:]))
-    state = tensor(phi0, basis_state(1, 0)).amplitudes
+    state = tensor(from_amplitudes(phi0), basis_state(1, 0)).amplitudes
     rho = np.outer(state, state.conj())
     for gate in literal.gates:
         u = circuit_unitary(Circuit(n, [gate]))
@@ -192,7 +192,7 @@ def _channel_case(name):
         "triangle": (_RANDOM_TRIANGLE, "Q", "D1"),
     }[name]
     phi0, phi1, excitation = _qpde_setup(system, ground, excited)
-    return system, phi0.amplitudes, excitation
+    return system, phi0, excitation
 
 
 @pytest.mark.parametrize("p_depol", [0.0, 0.002, 0.02, 1.0])
@@ -225,20 +225,19 @@ def test_channel_matches_pauli_transfer_form():
         t, n_steps = rng.uniform(0.1, 8.0), int(rng.integers(1, 1301))
         p_depol = (0.0, 0.002, 0.02, 1.0)[k % 4]
         step = trotter_circuit(system, TrotterPlan(t / n_steps, 1))
-        expected = pauli_transfer_overlap(phi0.amplitudes, excitation, step, n_steps, p_depol)
+        expected = pauli_transfer_overlap(phi0, excitation, step, n_steps, p_depol)
         z = _channel_z(system, phi0, excitation, t, n_steps, p_depol)
         assert abs(z - expected) <= 1e-12, (system, t, n_steps, p_depol)
 
 
 def test_noisy_sweep_builds_no_gate_circuit(monkeypatch):
     # The channel takes the step as exchange rotations, with no two-qubit
-    # Gate objects (and no per-gate unitarity checks) per (t, n_steps); the
-    # package has no gate-list class to build.
+    # gates (and no per-gate unitarity checks) per (t, n_steps); the
+    # package has no gate or gate-list class to build.
     def refuse(*args, **kwargs):
         raise AssertionError("a noisy sweep built a gate circuit")
 
     monkeypatch.setattr(engine, "trotter_circuit", refuse, raising=False)
-    monkeypatch.setattr(Gate, "two", refuse)
     system = triangle(1.0, 1.0, 2.0)
     phi0, phi1, _ = _qpde_setup(system, "Q", "D2")
     points = sweep(phi0, phi1, system, 0.7, PriorSpec("gaussian", 5.0, 1.0),
@@ -264,7 +263,7 @@ def test_fast_sampler_matches_literal_trajectories():
     literal = Circuit(4, [full.gates[0], full.gates[1]]
                       + [Gate.two(*g.targets, g.matrix) for g in evo_gates]
                       + list(full.gates[3:]))
-    init = tensor(phi0, basis_state(1, 0))
+    init = tensor(from_amplitudes(phi0), basis_state(1, 0))
     literal_mean = noisy_trajectory_p0(literal, p_depol, derived_rng(21), shots=4000,
                                        ancilla_index=3, initial_state=init)
     z = _channel_z(system, phi0, excitation, t, n_steps, p_depol)

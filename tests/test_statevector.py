@@ -1,11 +1,11 @@
-"""Statevector and gates, and the oracle interpreter that applies them."""
+"""The oracles' statevectors and gates, and the interpreter that applies them."""
 import numpy as np
 import pytest
 
-from oracles import (HADAMARD, PAULI_Z, Circuit, ancilla_p0, apply_gate, basis_state,
-                     circuit_unitary, controlled, from_amplitudes, run_circuit, tensor)
+from oracles import (HADAMARD, PAULI_Z, Circuit, Gate, Statevector, ancilla_p0, apply_gate,
+                     basis_state, circuit_unitary, controlled, from_amplitudes, run_circuit,
+                     tensor)
 from qpde.spin import named_state
-from qpde.statevector import Gate, Statevector
 
 
 def random_unitary(dim, rng):
@@ -27,8 +27,8 @@ def test_hadamard_on_zero():
 
 
 def test_z_on_first_spin_maps_triplet_to_singlet():
-    triplet = named_state("T", 2).to_statevector()
-    singlet = named_state("S", 2).to_statevector()
+    triplet = from_amplitudes(named_state("T", 2).coefficients)
+    singlet = from_amplitudes(named_state("S", 2).coefficients)
     out = apply_gate(triplet, Gate.register((0,), PAULI_Z))
     assert np.allclose(out.amplitudes, singlet.amplitudes, atol=1e-15)
 
@@ -57,17 +57,17 @@ def test_inner_product_properties():
     raw = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi = from_amplitudes(raw / np.linalg.norm(raw))
     assert np.vdot(psi.amplitudes, psi.amplitudes) == pytest.approx(1.0)
-    t = named_state("T", 2).to_statevector()
-    s = named_state("S", 2).to_statevector()
+    t = from_amplitudes(named_state("T", 2).coefficients)
+    s = from_amplitudes(named_state("S", 2).coefficients)
     assert np.vdot(t.amplitudes, s.amplitudes) == pytest.approx(0.0, abs=1e-15)
-    d1 = named_state("D1", 3).to_statevector()
-    d2 = named_state("D2", 3).to_statevector()
+    d1 = from_amplitudes(named_state("D1", 3).coefficients)
+    d2 = from_amplitudes(named_state("D2", 3).coefficients)
     assert np.vdot(d1.amplitudes, d2.amplitudes) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_ancilla_p0_cases():
     # ancilla |0> tensor anything -> 1.0
-    register = named_state("T", 2).to_statevector()
+    register = from_amplitudes(named_state("T", 2).coefficients)
     state = tensor(register, basis_state(1, 0))
     assert ancilla_p0(state, 2) == pytest.approx(1.0)
     # ancilla (|0>+|1>)/sqrt(2) -> 0.5
@@ -95,7 +95,7 @@ def test_norm_preserved_over_random_circuits():
 def test_controlled_gate_matches_uncontrolled_on_one_branch():
     rng = np.random.default_rng(12)
     u = random_unitary(4, rng)
-    register = named_state("T", 2).to_statevector()
+    register = from_amplitudes(named_state("T", 2).coefficients)
     gate = controlled(2, (0, 1), u)
     # ancilla |0>: identity on the register
     state0 = tensor(register, basis_state(1, 0))
