@@ -25,7 +25,7 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .engine import EstimatorConfig, PriorSpec, build_excitation_unitary, run_estimation
+from .engine import EstimatorConfig, PriorSpec, preparation_pair, run_estimation
 from .evolution import exchange_rotations
 from .optimizer import cost_report
 from .sampling import SamplerSpec
@@ -101,15 +101,15 @@ def parse_config(raw: dict) -> dict:
 
     ground = _require(raw, "ground_label", str, "config")
     excited = _require(raw, "excited_label", str, "config")
-    states = []
-    for field_name, label in (("ground_label", ground), ("excited_label", excited)):
-        try:
-            states.append(named_state(label, system.n_spins).coefficients)
-        except ValueError as exc:
-            raise ConfigError(f"{field_name}: {exc}") from exc
     try:
-        build_excitation_unitary(*states)
+        preparation_pair(ground, excited, system.n_spins)
     except ValueError as exc:
+        # A failed pair is not cached; name the label that failed, if one did.
+        for field_name, label in (("ground_label", ground), ("excited_label", excited)):
+            try:
+                named_state(label, system.n_spins)
+            except ValueError as label_exc:
+                raise ConfigError(f"{field_name}: {label_exc}") from label_exc
         raise ConfigError(f"excited_label: {exc}") from exc
 
     prior_raw = _require(raw, "prior", dict, "config")

@@ -22,9 +22,17 @@ Shots mode draws one binomial count per grid point from the fringe, the
 whole grid in one call on the (seed, iteration, attempt) stream of
 `sampling.derived_rng`.  Noisy mode draws them from the depolarized
 fringe: its mean overlap E[z] is computed exactly by
-`sampling.depolarized_overlap`, once per (t, n_steps), from the exchange
+`sampling.depolarized_overlap` on every sweep, from the exchange
 rotations of the one-step Trotter block that the ideal evolution raises
-to the n_steps power.
+to the n_steps power; the channel's n_steps-fold transfer block is
+cached across runs, so a (t, n_steps) seen before costs one contraction.
+
+What a run derives from its physics alone comes from bounded,
+process-wide caches whose arrays are read-only and shared:
+`preparation_pair` (key: the two labels and n_spins, maxsize 64) holds
+phi0 and the excitation unitary, and `reference_gap` (key: the system and
+the two labels, maxsize 512) the exact labeled gap.  A failed build is
+not cached and raises again.
 
 The estimation loop keeps a Gaussian belief over the gap.  Each iteration
 sweeps delta_eps across the prior's +-1 sigma window, fits a Gaussian
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -176,6 +185,26 @@ def build_excitation_unitary(phi0, phi1) -> np.ndarray:
             + np.eye(dim, dtype=complex) - np.outer(a, a.conj()) - np.outer(b, b.conj()))
 
 
+@lru_cache(maxsize=64)
+def preparation_pair(phi0_label: str, phi1_label: str,
+                     n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only amplitude vector of the first named preparation state and
+    the excitation unitary that swaps it with the second; an unknown label
+    or a non-orthogonal pair raises ValueError and is not cached."""
+    phi0 = named_state(phi0_label, n_spins).coefficients.astype(complex)
+    phi1 = named_state(phi1_label, n_spins).coefficients.astype(complex)
+    excitation = build_excitation_unitary(phi0, phi1)
+    phi0.setflags(write=False)
+    excitation.setflags(write=False)
+    return phi0, excitation
+
+
+@lru_cache(maxsize=512)
+def reference_gap(system: SpinSystem, phi0_label: str, phi1_label: str) -> float:
+    """The labeled gap that `spin.exact_gap` reports for the system."""
+    return exact_gap(system, phi0_label, phi1_label)[1]
+
+
 def _branch_overlap(phi0: np.ndarray, excitation: np.ndarray, system: SpinSystem,
                     t: float, evolution: str, n_steps: int | None) -> complex:
     """z = <U phi0| E^dag U E phi0>: the two interferometer branches after
@@ -203,16 +232,6 @@ class _SweepEvaluator:
         self.sampler = sampler
         if sampler.mode == "noisy" and config.evolution != "trotter":
             raise ValueError("noisy sampling requires trotterized evolution")
-        self._noisy_overlaps: dict[tuple[float, int], complex] = {}
-
-    def _noisy_overlap(self, t: float, n_steps: int) -> complex:
-        key = (t, n_steps)
-        if key not in self._noisy_overlaps:
-            self._noisy_overlaps[key] = depolarized_overlap(
-                self.phi0, self.excitation,
-                exchange_rotations(self.system, t / n_steps), n_steps,
-                self.sampler.p_depol)
-        return self._noisy_overlaps[key]
 
     def sample(self, t: float, n_steps: int, grid: np.ndarray,
                iteration: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +240,10 @@ class _SweepEvaluator:
                             self.config.evolution, n_steps)
         values = exact = fringe_p0(z, grid * t)
         if self.sampler.mode == "noisy":
-            values = fringe_p0(self._noisy_overlap(t, n_steps), grid * t)
+            z = depolarized_overlap(self.phi0, self.excitation,
+                                    exchange_rotations(self.system, t / n_steps),
+                                    n_steps, self.sampler.p_depol)
+            values = fringe_p0(z, grid * t)
         if self.sampler.mode != "exact":
             values = sample_p0(values, self.sampler.shots,
                                derived_rng(self.sampler.seed, iteration, attempt))
@@ -282,11 +304,9 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
     """Full sweep -> fit -> restart-check -> multiply -> converge loop."""
     config = config or EstimatorConfig()
     sampler = sampler or SamplerSpec()
-    phi0 = named_state(phi0_label, system.n_spins).coefficients.astype(complex)
-    phi1 = named_state(phi1_label, system.n_spins).coefficients.astype(complex)
-    excitation = build_excitation_unitary(phi0, phi1)
+    phi0, excitation = preparation_pair(phi0_label, phi1_label, system.n_spins)
     evaluator = _SweepEvaluator(phi0, system, excitation, config, sampler)
-    _, reference_gap = exact_gap(system, phi0_label, phi1_label)
+    gap = reference_gap(system, phi0_label, phi1_label)
 
     schedule = config.explicit_schedule
     if schedule:
@@ -358,7 +378,7 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
             t, n_steps = next_time(posterior.sigma, config, system, t)
 
     accuracy = None
-    if reference_gap:
-        accuracy = 1.0 - abs(belief.mu - reference_gap) / abs(reference_gap)
-    return EstimationResult(final=belief, trace=trace, exact_gap=reference_gap,
+    if gap:
+        accuracy = 1.0 - abs(belief.mu - gap) / abs(gap)
+    return EstimationResult(final=belief, trace=trace, exact_gap=gap,
                             accuracy=accuracy, stop_reason=stop_reason)

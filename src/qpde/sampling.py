@@ -21,6 +21,16 @@ charge popcount(a) - popcount(b) of a unit |a><b|, so it runs on the
 charges X holds (15 of 64 entries for quartet to doublet).  There a noisy
 rotation e^{-ia/2}(c + i s P), c = cos a, s = sin a, maps X to
 (1 - q)(c^2 X + s^2 P X P + i c s [P, X]) + q Tr_ij(X) (x) I/4, q = 16p/15.
+
+The n_steps power of a step's transfer matrix on that sector does not
+depend on the preparation, so `_noisy_block` caches it, read-only, keyed
+on (n, rotations, n_steps, p_depol, held charges) with maxsize 1024: a
+retried or restarted sweep, a later run at another seed and the other
+doublet of the same system reuse it, and each call only contracts it with
+its coherence.  At most 1024 blocks of m x m complex are held: 3.7 MB for
+three-spin quartet-to-doublet blocks (m = 15), 64 MiB for whole-space
+three-spin blocks (m = 64).
+
 The trajectory average and the density-matrix channel it is checked
 against are test oracles (`tests/oracles.py`).
 """
@@ -128,6 +138,24 @@ def _exchange_pieces(n: int, i: int, j: int, held: tuple[int, ...]) -> np.ndarra
     return pieces
 
 
+@lru_cache(maxsize=1024)
+def _noisy_block(n: int, rotations: tuple[tuple[int, int, float], ...], n_steps: int,
+                 p_depol: float, held: tuple[int, ...]) -> np.ndarray:
+    """Read-only n_steps power of the step's noisy transfer matrix on the
+    held charges' sector; the cache hands every caller the same array."""
+    m = len(_sector(n, held))
+    q = 16.0 * p_depol / 15.0
+    keep = 1.0 - q
+    step = np.eye(m)
+    for i, j, angle in rotations:
+        c, s = math.cos(angle), math.sin(angle)
+        weights = np.array([keep * c * c, keep * s * s, 1j * keep * c * s, q])
+        step = (weights @ _exchange_pieces(n, i, j, held)).reshape(m, m) @ step
+    block = np.linalg.matrix_power(step, n_steps)
+    block.setflags(write=False)
+    return block
+
+
 def depolarized_overlap(phi0: np.ndarray, excitation: np.ndarray,
                         rotations: list[tuple[int, int, float]], n_steps: int,
                         p_depol: float) -> complex:
@@ -136,20 +164,14 @@ def depolarized_overlap(phi0: np.ndarray, excitation: np.ndarray,
     The step is a list of exchange rotations (i, j, a) in circuit order,
     1-based spins (`evolution.exchange_rotations`), each followed by the
     depolarizing insertion on its pair.  The coherence X = E |phi0><phi0|
-    is carried on its charge sector to the end of the evolution, where
-    E[z] = tr(E^dag X).  With p_depol = 0 this is the clean overlap.
+    is carried on its charge sector to the end of the evolution by the
+    cached transfer block of (n, rotations, n_steps, p_depol, held
+    charges), where E[z] = tr(E^dag X).  With p_depol = 0 this is the
+    clean overlap.
     """
     n = phi0.size.bit_length() - 1
     coherence = np.outer(excitation @ phi0, phi0.conj()).ravel()
     held = tuple(np.unique(_charges(n)[coherence != 0]).tolist())
     sector = _sector(n, held)
-    m = len(sector)
-    q = 16.0 * p_depol / 15.0
-    keep = 1.0 - q
-    step = np.eye(m)
-    for i, j, angle in rotations:
-        c, s = math.cos(angle), math.sin(angle)
-        weights = np.array([keep * c * c, keep * s * s, 1j * keep * c * s, q])
-        step = (weights @ _exchange_pieces(n, i, j, held)).reshape(m, m) @ step
-    final = np.linalg.matrix_power(step, n_steps) @ coherence[sector]
-    return complex(np.vdot(excitation.ravel()[sector], final))
+    block = _noisy_block(n, tuple(rotations), n_steps, p_depol, held)
+    return complex(np.vdot(excitation.ravel()[sector], block @ coherence[sector]))

@@ -6,11 +6,13 @@ import json
 import pytest
 
 import qpde.cli as cli
+import qpde.engine as engine
 from oracles import Circuit, Gate, TrotterPlan, trotter_circuit
 from qpde import fitting
 from qpde.cli import bundled_config_names, build_parser, echo_config, load_config, main
 from qpde.evolution import evolution_block
 from qpde.optimizer import cost_report
+from qpde.spin import named_state
 
 
 def run_cli(*argv):
@@ -84,6 +86,44 @@ def test_invalid_label_exits_one(tmp_path, capsys):
     assert run_cli("run", "--config", str(path)) == 1
     err = capsys.readouterr().err
     assert "excited_label" in err
+
+
+@pytest.mark.parametrize("ground, excited, field", [
+    ("Q", "Q", "excited_label"),
+    ("Q3", "D1", "ground_label"),
+    ("Q", "D3", "excited_label"),
+    ("T", "S", "ground_label"),
+    ("Q", "S", "excited_label"),
+], ids=["same_label", "unknown_ground", "unknown_excited", "ground_spin_count",
+        "excited_spin_count"])
+def test_label_errors_name_their_field(ground, excited, field):
+    raw = {"system": {"n_spins": 3, "couplings": [[1, 2, 1.0], [2, 3, 1.0]]},
+           "ground_label": ground, "excited_label": excited,
+           "prior": {"shape": "gaussian", "mu": 0.0, "sigma": 10.0}}
+    try:
+        named_state(raw[field], 3)
+        expected = "preparation states are not orthogonal"
+    except ValueError as exc:
+        expected = str(exc)
+    with pytest.raises(cli.ConfigError) as info:
+        cli.parse_config(raw)
+    assert str(info.value).startswith(f"{field}: {expected}")
+
+
+def test_run_builds_the_excitation_once(tmp_path, monkeypatch):
+    # parse_config validates the labels through the run's cached
+    # preparation pair, so the run does not build it again.
+    built = []
+    build = engine.build_excitation_unitary
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(engine, "build_excitation_unitary", counted)
+    engine.preparation_pair.cache_clear()
+    assert run_cli("run", "--config", "two_spin", "--out", str(tmp_path / "run")) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("section, key, value, field", [

@@ -1,5 +1,6 @@
 """Interferometer measurement, the refinement loop, and restart semantics."""
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ from oracles import (PAULI_Z, TrotterPlan, analytic_p0, circuit_p0, circuit_unit
 from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
                          check_restart, default_steps, next_time, run_estimation,
                          sweep, sweep_grid)
-from qpde.evolution import evolution_block
+from qpde.evolution import evolution_block, exchange_rotations
 from qpde.fitting import FitResult, GaussianEstimate
+from qpde import sampling, spin
 from qpde.sampling import SamplerSpec
 from qpde.spin import (SpinSystem, build_hamiltonian, linear_chain, named_state,
                        system_eigensystem, triangle, two_spin_system)
@@ -502,6 +504,91 @@ def test_noisy_run_repeats_the_recorded_draws(record):
     assert result.final.mu == record["mu"]
     assert result.final.sigma == record["sigma"]
     assert result.stop_reason == record["stop_reason"]
+
+
+def _clear_every_cache():
+    """Empty every lru cache defined in the package's modules."""
+    cleared = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("qpde.")]:
+        for name, value in vars(module).items():
+            if (callable(getattr(value, "cache_clear", None))
+                    and getattr(value, "__module__", None) == module.__name__):
+                value.cache_clear()
+                cleared.append(name)
+    return cleared
+
+
+@pytest.mark.parametrize("mode", ["noisy", "shots"])
+def test_result_does_not_depend_on_cache_state(mode):
+    def estimate(system, ground, excited, seed):
+        return repr(run_estimation(system, ground, excited,
+                                   PriorSpec("gaussian", 0.0, 10.0),
+                                   sampler=SamplerSpec(mode, 500, 0.01, seed)))
+
+    cleared = _clear_every_cache()
+    assert {"preparation_pair", "reference_gap", "_noisy_block",
+            "evolution_block", "system_eigensystem"} <= set(cleared)
+    cold = estimate(triangle(1.0, 1.0, 2.0), "Q", "D2", 5)
+    # Other labels, systems and seeds warm every cache, this run's keys too.
+    for system, ground, excited in ((triangle(1.0, 1.0, 2.0), "Q", "D1"),
+                                    (triangle(1.0, 1.0, 2.0), "Q", "D2"),
+                                    (linear_chain(1.0, 1.1), "Q", "D1"),
+                                    (two_spin_system(1.0), "T", "S")):
+        estimate(system, ground, excited, 9)
+    assert estimate(triangle(1.0, 1.0, 2.0), "Q", "D2", 5) == cold
+
+
+def test_cached_set_up_arrays_are_read_only():
+    phi0, excitation = engine.preparation_pair("Q", "D2", 3)
+    assert engine.preparation_pair("Q", "D2", 3)[1] is excitation
+    rotations = tuple(exchange_rotations(triangle(1.0, 1.0, 2.0), 0.7 / 105))
+    block = sampling._noisy_block(3, rotations, 105, 0.002, (1,))
+    assert block.shape == (15, 15)
+    for array in (phi0, excitation, block):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("labels, message", [
+    (("Q", "D3"), "unknown state label"),
+    (("Q", "Q"), "not orthogonal"),
+    (("T", "S"), "requires 2 spins"),
+], ids=["unknown_label", "same_label", "wrong_spin_count"])
+def test_failed_set_up_is_not_cached(labels, message):
+    engine.preparation_pair.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            engine.preparation_pair(*labels, 3)
+    assert engine.preparation_pair.cache_info().currsize == 0
+
+
+def test_failed_reference_gap_is_not_cached():
+    engine.reference_gap.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown state label"):
+            engine.reference_gap(triangle(1.0, 1.0, 2.0), "Q", "D3")
+    assert engine.reference_gap.cache_info().currsize == 0
+
+
+def test_set_up_reaches_spin_through_engine_names_on_misses(monkeypatch):
+    # Profilers wrap qpde.engine.named_state and qpde.engine.exact_gap; the
+    # cached set-up calls them by those names whenever it builds.
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "named_state", counted(spin.named_state))
+    monkeypatch.setattr(engine, "exact_gap", counted(spin.exact_gap))
+    _clear_every_cache()
+    for seed in (1, 2):
+        run_estimation(two_spin_system(1.0), "T", "S", PriorSpec("gaussian", 0.0, 10.0),
+                       sampler=SamplerSpec("shots", 500, seed=seed))
+    assert calls == ["named_state", "named_state", "exact_gap"]
 
 
 def test_noisy_mode_requires_trotter():

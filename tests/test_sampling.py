@@ -17,7 +17,7 @@ from oracles import (TWO_QUBIT_PAULIS, Circuit, Gate, TrotterPlan, apply_matrix,
                      qpde_circuit, tensor, trotter_circuit)
 from qpde import sampling
 from qpde.engine import (EstimatorConfig, PriorSpec, _branch_overlap,
-                         build_excitation_unitary, sweep)
+                         build_excitation_unitary, run_estimation, sweep)
 from qpde.evolution import exchange_rotations
 from qpde.sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
                            sample_p0)
@@ -230,19 +230,37 @@ def test_channel_matches_pauli_transfer_form():
         assert abs(z - expected) <= 1e-12, (system, t, n_steps, p_depol)
 
 
-def test_noisy_sweep_builds_no_gate_circuit(monkeypatch):
-    # The channel takes the step as exchange rotations, with no two-qubit
-    # gates (and no per-gate unitarity checks) per (t, n_steps); the
-    # package has no gate or gate-list class to build.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a noisy sweep built a gate circuit")
+def _noisy_run(excited, seed):
+    """A triangle(1, 1, 2) Q -> excited run in noisy mode at 500 shots and
+    p_depol 0.01, and its distinct (t, n_steps) keys."""
+    result = run_estimation(triangle(1.0, 1.0, 2.0), "Q", excited,
+                            PriorSpec("gaussian", 0.0, 10.0),
+                            sampler=SamplerSpec("noisy", 500, 0.01, seed))
+    return result, {(row.t, row.n_steps) for row in result.trace}
 
-    monkeypatch.setattr(engine, "trotter_circuit", refuse, raising=False)
-    system = triangle(1.0, 1.0, 2.0)
-    phi0, phi1, _ = _qpde_setup(system, "Q", "D2")
-    points = sweep(phi0, phi1, system, 0.7, PriorSpec("gaussian", 5.0, 1.0),
-                   EstimatorConfig(), SamplerSpec("noisy", seed=3))
-    assert len(points) == EstimatorConfig().grid_points
+
+def test_noisy_runs_build_each_sector_block_once():
+    # The channel's transfer block is keyed on the step's rotations, the
+    # step count, p_depol and the held charges, not on the run or the
+    # preparation: retries, restarts, later runs and the other doublet of
+    # the same system reuse it.
+    blocks = sampling._noisy_block
+    blocks.cache_clear()
+    first, first_keys = _noisy_run("D2", 0)
+    sweeps = sum(row.fit_attempts for row in first.trace)
+    assert any(row.restarted for row in first.trace)
+    assert sweeps > len(first.trace) > len(first_keys)
+    assert blocks.cache_info().misses == len(first_keys)
+    assert blocks.cache_info().hits == sweeps - len(first_keys)
+
+    _, second_keys = _noisy_run("D2", 5)
+    assert first_keys & second_keys
+    assert blocks.cache_info().misses == len(first_keys | second_keys)
+
+    before = blocks.cache_info().misses
+    _, d1_keys = _noisy_run("D1", 0)
+    assert d1_keys & (first_keys | second_keys)
+    assert blocks.cache_info().misses == before + len(d1_keys - first_keys - second_keys)
 
 
 def test_noiseless_channel_is_the_clean_overlap():
