@@ -159,26 +159,11 @@ def load_config(spec: str) -> dict:
 
 
 def echo_config(cfg: dict) -> dict:
-    """JSON-ready copy of a parsed config; reloading it reproduces the run."""
-    estimator = cfg["estimator"]
-    sampler = cfg["sampler"]
-    out = {
-        "system": {"n_spins": cfg["system"].n_spins,
-                   "couplings": [[i, j, J] for i, j, J in cfg["system"].couplings]},
-        "ground_label": cfg["ground_label"],
-        "excited_label": cfg["excited_label"],
-        "prior": {"shape": cfg["prior"].shape, "mu": cfg["prior"].mu,
-                  "sigma": cfg["prior"].sigma},
-        "estimator": {name: getattr(estimator, name)
-                      for name in EstimatorConfig.__dataclass_fields__},
-        "sampler": {name: getattr(sampler, name)
-                    for name in SamplerSpec.__dataclass_fields__},
-        "output_dir": cfg["output_dir"],
-    }
-    sched = out["estimator"]["explicit_schedule"]
-    if sched is not None:
-        out["estimator"]["explicit_schedule"] = [[t, n] for t, n in sched]
-    return out
+    """JSON-ready copy of a parsed config; reloading it reproduces the run.
+    Each component is a dataclass that holds only its fields, so `vars`
+    gives the fields in order; `dataclasses.asdict` would deep-copy every
+    leaf, a few percent of a whole `qpde run`."""
+    return json.loads(json.dumps(cfg, default=vars))
 
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:

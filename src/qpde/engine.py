@@ -111,6 +111,8 @@ class EstimatorConfig:
             raise ValueError("time_growth_factor must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.restart_limit < 1:
+            raise ValueError("restart_limit must be at least 1")
         if self.fit_retry_limit < 1:
             raise ValueError("fit_retry_limit must be at least 1")
         if self.evolution not in ("exact", "trotter"):
@@ -219,41 +221,29 @@ def sweep_grid(prior_mu: float, prior_sigma: float, grid_points: int) -> np.ndar
     return np.linspace(prior_mu - prior_sigma, prior_mu + prior_sigma, grid_points)
 
 
-class _SweepEvaluator:
-    """Evaluates one iteration's sweep under the configured sampler."""
+def _sweep_values(phi0: np.ndarray, excitation: np.ndarray, system: SpinSystem,
+                  t: float, n_steps: int, grid: np.ndarray, evolution: str,
+                  sampler: SamplerSpec, iteration: int,
+                  attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled and the exact p0 at each point of the grid."""
+    if sampler.mode == "noisy" and evolution != "trotter":
+        raise ValueError("noisy sampling requires trotterized evolution")
+    z = _branch_overlap(phi0, excitation, system, t, evolution, n_steps)
+    values = exact = fringe_p0(z, grid * t)
+    if sampler.mode == "noisy":
+        z = depolarized_overlap(phi0, excitation, exchange_rotations(system, t / n_steps),
+                                n_steps, sampler.p_depol)
+        values = fringe_p0(z, grid * t)
+    if sampler.mode != "exact":
+        values = sample_p0(values, sampler.shots,
+                           derived_rng(sampler.seed, iteration, attempt))
+    return values, exact
 
-    def __init__(self, phi0: np.ndarray, system: SpinSystem,
-                 excitation: np.ndarray, config: EstimatorConfig,
-                 sampler: SamplerSpec):
-        self.phi0 = phi0
-        self.system = system
-        self.excitation = excitation
-        self.config = config
-        self.sampler = sampler
-        if sampler.mode == "noisy" and config.evolution != "trotter":
-            raise ValueError("noisy sampling requires trotterized evolution")
 
-    def sample(self, t: float, n_steps: int, grid: np.ndarray,
-               iteration: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sampled and the exact p0 at each point of the grid."""
-        z = _branch_overlap(self.phi0, self.excitation, self.system, t,
-                            self.config.evolution, n_steps)
-        values = exact = fringe_p0(z, grid * t)
-        if self.sampler.mode == "noisy":
-            z = depolarized_overlap(self.phi0, self.excitation,
-                                    exchange_rotations(self.system, t / n_steps),
-                                    n_steps, self.sampler.p_depol)
-            values = fringe_p0(z, grid * t)
-        if self.sampler.mode != "exact":
-            values = sample_p0(values, self.sampler.shots,
-                               derived_rng(self.sampler.seed, iteration, attempt))
-        return values, exact
-
-    def run(self, t: float, n_steps: int, grid: np.ndarray,
-            iteration: int, attempt: int) -> list[SweepPoint]:
-        values, exact = self.sample(t, n_steps, grid, iteration, attempt)
-        return [SweepPoint(float(delta), float(value), float(p))
-                for delta, value, p in zip(grid, values, exact)]
+def _points(grid: np.ndarray, values: np.ndarray,
+            exact: np.ndarray) -> tuple[SweepPoint, ...]:
+    return tuple(SweepPoint(float(delta), float(value), float(p))
+                 for delta, value, p in zip(grid, values, exact))
 
 
 def sweep(phi0, phi1, system: SpinSystem, t: float,
@@ -265,9 +255,10 @@ def sweep(phi0, phi1, system: SpinSystem, t: float,
         n_steps = default_steps(system, t, config.steps_per_unit_time)
     phi0 = np.asarray(phi0, dtype=complex)
     excitation = build_excitation_unitary(phi0, phi1)
-    evaluator = _SweepEvaluator(phi0, system, excitation, config, sampler)
     grid = sweep_grid(prior.mu, prior.sigma, config.grid_points)
-    return evaluator.run(t, n_steps, grid, iteration, 0)
+    values, exact = _sweep_values(phi0, excitation, system, t, n_steps, grid,
+                                  config.evolution, sampler, iteration, 0)
+    return list(_points(grid, values, exact))
 
 
 def check_restart(prior: PriorSpec | GaussianEstimate, fit_mu: float,
@@ -305,7 +296,6 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
     config = config or EstimatorConfig()
     sampler = sampler or SamplerSpec()
     phi0, excitation = preparation_pair(phi0_label, phi1_label, system.n_spins)
-    evaluator = _SweepEvaluator(phi0, system, excitation, config, sampler)
     gap = reference_gap(system, phi0_label, phi1_label)
 
     schedule = config.explicit_schedule
@@ -326,43 +316,38 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
 
     for iteration in range(config.max_iterations):
         grid = sweep_grid(belief.mu, belief.sigma, config.grid_points)
-        fit = None
         for attempt in range(max_attempts):
-            values, exact = evaluator.sample(t, n_steps, grid, iteration, attempt)
+            values, exact = _sweep_values(phi0, excitation, system, t, n_steps, grid,
+                                          config.evolution, sampler, iteration, attempt)
             fit = fit_gaussian(grid, values, fallback_sigma=belief.sigma / 2)
             if fit.converged:
                 break
-        points = tuple(SweepPoint(float(delta), float(value), float(p))
-                       for delta, value, p in zip(grid, values, exact))
 
+        # A failed fit leaves the belief as it was; a restart carries the
+        # fitted mean forward and keeps sigma and (t, n_steps).
+        restarted = fit.converged and check_restart(belief, fit.mu, config.lambda_restart)
         if not fit.converged:
-            # Fit failed on every retry: stop and report the trace as-is.
-            trace.append(IterationRecord(t, n_steps, belief, fit, belief, False,
-                                         points, attempt + 1))
-            stop_reason = "fit_failed"
-            break
-
-        if check_restart(belief, fit.mu, config.lambda_restart):
-            # Carry the fitted mean forward, keep sigma and (t, n_steps).
-            consecutive_restarts += 1
-            carried = GaussianEstimate(fit.mu, belief.sigma)
-            trace.append(IterationRecord(t, n_steps, belief, fit, carried, True,
-                                         points, attempt + 1))
-            if consecutive_restarts >= config.restart_limit:
-                stop_reason = "restart_limit"
-                break
-            belief = carried
-            continue
-        consecutive_restarts = 0
-
-        if belief_is_uniform:
+            posterior = belief
+        elif restarted:
+            posterior = GaussianEstimate(fit.mu, belief.sigma)
+        elif belief_is_uniform:
             posterior = fit.estimate()
-            belief_is_uniform = False
         else:
             posterior = multiply_gaussians(belief, fit.estimate())
-        trace.append(IterationRecord(t, n_steps, belief, fit, posterior, False,
-                                     points, attempt + 1))
+        trace.append(IterationRecord(t, n_steps, belief, fit, posterior, restarted,
+                                     _points(grid, values, exact), attempt + 1))
+
+        if not fit.converged:
+            stop_reason = "fit_failed"
+            break
+        consecutive_restarts = consecutive_restarts + 1 if restarted else 0
+        if consecutive_restarts >= config.restart_limit:
+            stop_reason = "restart_limit"
+            break
         belief = posterior
+        if restarted:
+            continue
+        belief_is_uniform = False
 
         if posterior.sigma < config.e_thre:
             stop_reason = "converged"

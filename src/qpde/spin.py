@@ -317,7 +317,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     assignments: dict[str, tuple[int, float, float]]
-    labeled_gaps: dict[tuple[str, str], float]
 
 
 @lru_cache(maxsize=512)
@@ -346,11 +345,10 @@ def exact_gap(system: SpinSystem, ground_label: str,
     preparation states select (largest-weight assignment, see
     SpectrumReport)."""
     values, vectors = system_eigensystem(system)
-    report = SpectrumReport(values, vectors, {}, {})
+    report = SpectrumReport(values, vectors, {})
     for label in (ground_label, excited_label):
         report.assignments[label] = _assign(values, vectors,
                                             named_state(label, system.n_spins))
     gap = (report.assignments[excited_label][1]
            - report.assignments[ground_label][1])
-    report.labeled_gaps[(ground_label, excited_label)] = gap
     return report, gap

@@ -8,7 +8,9 @@ pytest does not collect this file.  For each tree, one child interpreter
 imports `qpde` from that tree and, through `qpde.cli.main`, runs
 `qpde run --seed S` for S in 1-3, `qpde run --seed 1 --mode M` for M in
 exact and noisy, and `qpde optimize` on every bundled config, each into
-its own directory, and records each call's exit code and printed line.
+its own directory, and `qpde oracle`, which writes no files, on every
+bundled config.  It records each call's exit code and printed output in
+one more artifact, calls.json.
 Each tree's output root, which `summary.json` echoes as `output_dir` and
 the printed lines name, is then replaced by one placeholder, and every
 artifact of the two trees is compared byte for byte.  The script prints
@@ -39,11 +41,14 @@ calls += [[name, "run-" + mode, ["run", "--config", name, "--seed", "1", "--mode
           for name in bundled_config_names() for mode in modes]
 calls += [[name, "optimize", ["optimize", "--config", name]]
           for name in bundled_config_names()]
+calls = [[name, leaf, argv + ["--out", "%s/%s/%s" % (root, name, leaf)]]
+         for name, leaf, argv in calls]
+calls += [[name, "oracle", ["oracle", "--config", name]] for name in bundled_config_names()]
 record = {}
 for name, leaf, argv in calls:
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        code = main(argv + ["--out", "%s/%s/%s" % (root, name, leaf)])
+        code = main(argv)
     record["%s/%s" % (name, leaf)] = [code, printed.getvalue()]
 with open("%s/calls.json" % root, "w") as handle:
     json.dump(record, handle, indent=1, sort_keys=True)

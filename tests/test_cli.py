@@ -205,10 +205,11 @@ def test_schedule_override(tmp_path):
     ({"steps_per_unit_time": 0}, {}, [], "estimator: steps_per_unit_time must be positive"),
     ({"time_growth_factor": 0}, {}, [], "estimator: time_growth_factor must be positive"),
     ({"max_iterations": 0}, {}, [], "estimator: max_iterations must be at least 1"),
+    ({"restart_limit": 0}, {}, [], "estimator: restart_limit must be at least 1"),
 ], ids=["zero_step_schedule", "zero_shots", "noisy_mode_flag", "noisy_mode_field",
         "zero_fit_retries", "negative_initial_t", "negative_seed_field",
         "negative_seed_flag", "negative_steps_per_unit_time", "zero_steps_per_unit_time",
-        "zero_time_growth_factor", "zero_max_iterations"])
+        "zero_time_growth_factor", "zero_max_iterations", "zero_restart_limit"])
 def test_bad_override_is_a_config_error(tmp_path, capsys, estimator, sampler, flags,
                                         message):
     out = tmp_path / "out"

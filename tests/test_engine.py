@@ -615,6 +615,9 @@ def test_estimator_config_validation():
         EstimatorConfig(initial_t=0.0)
     with pytest.raises(ValueError, match="fit_retry_limit"):
         EstimatorConfig(fit_retry_limit=0)
+    for limit in (0, -5):
+        with pytest.raises(ValueError, match="restart_limit"):
+            EstimatorConfig(restart_limit=limit)
     for steps in (0.0, -5.0):
         with pytest.raises(ValueError, match="steps_per_unit_time"):
             EstimatorConfig(steps_per_unit_time=steps)

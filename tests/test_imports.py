@@ -29,7 +29,7 @@ TEST_ONLY_NAMES = {
     "PAULI_Y", "PAULI_Z", "apply_matrix", "gaussian_model",
     "trotter_circuit", "TrotterPlan", "Circuit",
     "Gate", "Gate.two", "Gate.register", "Statevector", "SWAP", "pair_term_unitary",
-    "SpinEigenfunction.to_statevector",
+    "SpinEigenfunction.to_statevector", "_SweepEvaluator", "SpectrumReport.labeled_gaps",
 }
 
 

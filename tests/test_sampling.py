@@ -326,21 +326,21 @@ def test_sweep_builds_one_stream(monkeypatch):
 
 def test_sweep_draws_do_not_depend_on_earlier_sweeps():
     system = linear_chain(1.0, 1.0)
-    phi0, phi1, excitation = _qpde_setup(system, "Q", "D2")
+    phi0, _, excitation = _qpde_setup(system, "Q", "D2")
     grid = np.linspace(0.0, 2.0, 21)
+    sampler = SamplerSpec("noisy", 5000, 0.002, seed=5)
 
-    def evaluator():
-        return engine._SweepEvaluator(phi0, system, excitation, EstimatorConfig(),
-                                      SamplerSpec("noisy", 5000, 0.002, seed=5))
+    def values(iteration, attempt):
+        return engine._sweep_values(phi0, excitation, system, 0.4, 60, grid, "trotter",
+                                    sampler, iteration, attempt)[0]
 
-    fresh = evaluator().run(0.4, 60, grid, 2, 1)
-    busy = evaluator()
+    fresh = values(2, 1)
     for iteration, attempt in ((0, 0), (1, 0), (2, 0), (3, 1)):
-        busy.run(0.4, 60, grid, iteration, attempt)
-    assert busy.run(0.4, 60, grid, 2, 1) == fresh
+        values(iteration, attempt)
+    assert np.array_equal(values(2, 1), fresh)
     noisy = fringe_p0(_channel_z(system, phi0, excitation, 0.4, 60, 0.002), grid * 0.4)
     expected = derived_rng(5, 2, 1).binomial(5000, noisy) / 5000
-    assert [point.p0 for point in fresh] == expected.tolist()
+    assert fresh.tolist() == expected.tolist()
 
 
 def test_sample_p0_checks_every_entry_of_an_array():

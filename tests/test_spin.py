@@ -222,6 +222,18 @@ def test_named_state_label_validation():
         named_state("T", 3)
 
 
+@pytest.mark.parametrize("label, d", [("D1_rec", 1), ("D2_rec", 2)])
+def test_recurrence_doublet_labels(label, d):
+    state, expected = named_state(label, 3), spin_eigenfunction(3, 0.5, 0.5, d)
+    assert (state.n, state.s, state.ms, state.d) == (expected.n, expected.s,
+                                                     expected.ms, expected.d)
+    assert np.array_equal(state.coefficients, expected.coefficients)
+    with pytest.raises(ValueError, match="requires 3 spins"):
+        named_state(label, 2)
+    _, gap = exact_gap(triangle(1.0, 1.0, 1.0), "Q", label)
+    assert gap == pytest.approx(3.0, abs=1e-12)
+
+
 def test_symmetric_chain_doublet_energies():
     h = build_hamiltonian(linear_chain(1.0, 1.0))
     d2 = named_state("D2", 3).coefficients
@@ -323,7 +335,6 @@ def test_exact_gap_assignment_reported():
     idx_q, energy_q, overlap_q = report.assignments["Q"]
     assert energy_q == pytest.approx(-1.5, abs=1e-12)
     assert gap == pytest.approx(3.0, abs=1e-12)
-    assert report.labeled_gaps[("Q", "D2")] == pytest.approx(3.0, abs=1e-12)
     # D2 is an exact eigenstate of the frustrated triangle, inside a
     # degenerate doublet: its whole weight lies in that eigenspace.
     assert report.assignments["D2"][2] == pytest.approx(1.0, abs=1e-12)
