@@ -6,8 +6,8 @@ eigenstates best matched by the named preparation states.
 """
 import numpy as np
 
-from qpde import (build_hamiltonian, exact_gap, linear_chain, named_state,
-                  spin_squared, triangle, two_spin_system)
+from qpde import (assignment, build_hamiltonian, exact_gap, linear_chain, named_state,
+                  spin_squared, system_eigensystem, triangle, two_spin_system)
 
 CONFIGS = [
     ("two-spin chain        ", two_spin_system(1.0), "T", "S"),
@@ -21,14 +21,14 @@ CONFIGS = [
 print("Exact spectra and labeled gaps")
 print("=" * 72)
 for name, system, ground, excited in CONFIGS:
-    report, gap = exact_gap(system, ground, excited)
-    levels = ", ".join(f"{v:+.4f}" for v in np.unique(np.round(report.eigenvalues, 10)))
+    eigenvalues = system_eigensystem(system)[0]
+    levels = ", ".join(f"{v:+.4f}" for v in np.unique(np.round(eigenvalues, 10)))
     print(f"{name} levels: {levels}")
     for label in (ground, excited):
-        idx, energy, overlap = report.assignments[label]
+        idx, energy, overlap = assignment(system, label)
         print(f"    |{label}> -> eigenstate {idx} at E = {energy:+.4f} "
               f"(overlap^2 = {overlap:.4f})")
-    print(f"    gap E[{excited}] - E[{ground}] = {gap:.6f}")
+    print(f"    gap E[{excited}] - E[{ground}] = {exact_gap(system, ground, excited):.6f}")
 print()
 
 print("The quartet/triplet structure comes from the total-spin symmetry:")

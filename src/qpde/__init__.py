@@ -9,7 +9,7 @@ from .evolution import evolution_block, exact_evolution, exchange_rotations
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .optimizer import CostReport, cost_report
 from .sampling import SamplerSpec, depolarized_overlap, derived_rng, sample_p0
-from .spin import (SpectrumReport, SpinEigenfunction, SpinSystem, build_hamiltonian,
+from .spin import (SpinEigenfunction, SpinSystem, assignment, build_hamiltonian,
                    exact_gap, linear_chain, named_state, spin_eigenbasis,
                    spin_eigenfunction, spin_squared, spin_z, system_eigensystem,
                    triangle, two_spin_system)

@@ -29,7 +29,7 @@ from .engine import EstimatorConfig, PriorSpec, preparation_pair, run_estimation
 from .evolution import exchange_rotations
 from .optimizer import cost_report
 from .sampling import SamplerSpec
-from .spin import SpinSystem, exact_gap, named_state
+from .spin import SpinSystem, assignment, exact_gap, named_state, system_eigensystem
 
 
 class ConfigError(Exception):
@@ -70,22 +70,30 @@ def _require(mapping: dict, key: str, kind, where: str):
     return _typed(mapping[key], kind, f"{where}.{key}")
 
 
+def _only_known(raw: dict, known, where: str) -> dict:
+    """raw, if each of its keys is in known."""
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{where}.{key}: unknown field")
+    return raw
+
+
 def _known_fields(cls, raw: dict, where: str) -> dict:
     """raw's entries, each a field of dataclass cls with its default's type."""
     fields = cls.__dataclass_fields__
-    for key in raw:
-        if key not in fields:
-            raise ConfigError(f"{where}.{key}: unknown field")
     return {key: _typed(value, type(fields[key].default), f"{where}.{key}")
-            for key, value in raw.items()}
+            for key, value in _only_known(raw, fields, where).items()}
 
 
 def parse_config(raw: dict) -> dict:
     """Validate the raw JSON structure and build typed components."""
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
+    _only_known(raw, ("system", "ground_label", "excited_label", "prior", "estimator",
+                      "sampler", "output_dir"), "config")
 
-    system_raw = _require(raw, "system", dict, "config")
+    system_raw = _only_known(_require(raw, "system", dict, "config"),
+                             SpinSystem.__dataclass_fields__, "system")
     n_spins = _require(system_raw, "n_spins", int, "system")
     couplings = []
     for idx, entry in enumerate(_require(system_raw, "couplings", list, "system")):
@@ -112,7 +120,8 @@ def parse_config(raw: dict) -> dict:
                 raise ConfigError(f"{field_name}: {label_exc}") from label_exc
         raise ConfigError(f"excited_label: {exc}") from exc
 
-    prior_raw = _require(raw, "prior", dict, "config")
+    prior_raw = _only_known(_require(raw, "prior", dict, "config"),
+                            PriorSpec.__dataclass_fields__, "prior")
     try:
         prior = PriorSpec(_require(prior_raw, "shape", str, "prior"),
                           _require(prior_raw, "mu", float, "prior"),
@@ -275,15 +284,15 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    report, gap = exact_gap(cfg["system"], cfg["ground_label"], cfg["excited_label"])
+    system, ground, excited = cfg["system"], cfg["ground_label"], cfg["excited_label"]
     payload = {
-        "eigenvalues": [float(v) for v in report.eigenvalues],
+        "eigenvalues": [float(v) for v in system_eigensystem(system)[0]],
         "assignments": {
-            label: {"eigenstate_index": idx, "energy": energy,
-                    "overlap_sq": overlap}
-            for label, (idx, energy, overlap) in report.assignments.items()},
-        "gap": {"ground": cfg["ground_label"], "excited": cfg["excited_label"],
-                "value": gap},
+            label: dict(zip(("eigenstate_index", "energy", "overlap_sq"),
+                            assignment(system, label)))
+            for label in (ground, excited)},
+        "gap": {"ground": ground, "excited": excited,
+                "value": exact_gap(system, ground, excited)},
     }
     print(json.dumps(payload, indent=2))
     return 0

@@ -30,9 +30,10 @@ cached across runs, so a (t, n_steps) seen before costs one contraction.
 What a run derives from its physics alone comes from bounded,
 process-wide caches whose arrays are read-only and shared:
 `preparation_pair` (key: the two labels and n_spins, maxsize 64) holds
-phi0 and the excitation unitary, and `reference_gap` (key: the system and
-the two labels, maxsize 512) the exact labeled gap.  A failed build is
-not cached and raises again.
+phi0 and the excitation unitary, and `spin.assignment` (key: the system
+and one label, maxsize 1024) the eigenspace each label selects, from
+which `spin.exact_gap` takes the reference gap.  A failed build is not
+cached and raises again.
 
 The estimation loop keeps a Gaussian belief over the gap.  Each iteration
 sweeps delta_eps across the prior's +-1 sigma window, fits a Gaussian
@@ -51,7 +52,7 @@ restarts in a row), "fit_failed" (every retry of a fit failed) or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -103,10 +104,10 @@ class EstimatorConfig:
             raise ValueError("e_thre must be positive")
         if self.grid_points < 5:
             raise ValueError("grid_points must be at least 5")
-        if not self.initial_t > 0:
-            raise ValueError("initial_t must be positive")
-        if not self.steps_per_unit_time > 0:
-            raise ValueError("steps_per_unit_time must be positive")
+        if not (self.initial_t > 0 and math.isfinite(self.initial_t)):
+            raise ValueError("initial_t must be positive and finite")
+        if not (self.steps_per_unit_time > 0 and math.isfinite(self.steps_per_unit_time)):
+            raise ValueError("steps_per_unit_time must be positive and finite")
         if not self.time_growth_factor > 0:
             raise ValueError("time_growth_factor must be positive")
         if self.max_iterations < 1:
@@ -140,17 +141,17 @@ class IterationRecord:
     fit: FitResult
     posterior: GaussianEstimate
     restarted: bool
-    points: tuple[SweepPoint, ...] = ()
-    fit_attempts: int = 1
+    points: tuple[SweepPoint, ...]
+    fit_attempts: int
 
 
 @dataclass
 class EstimationResult:
     final: GaussianEstimate
-    trace: list[IterationRecord] = field(default_factory=list)
-    exact_gap: float | None = None
-    accuracy: float | None = None
-    stop_reason: str = "max_iterations"
+    trace: list[IterationRecord]
+    exact_gap: float
+    accuracy: float | None
+    stop_reason: str
 
     @property
     def converged(self) -> bool:
@@ -199,12 +200,6 @@ def preparation_pair(phi0_label: str, phi1_label: str,
     phi0.setflags(write=False)
     excitation.setflags(write=False)
     return phi0, excitation
-
-
-@lru_cache(maxsize=512)
-def reference_gap(system: SpinSystem, phi0_label: str, phi1_label: str) -> float:
-    """The labeled gap that `spin.exact_gap` reports for the system."""
-    return exact_gap(system, phi0_label, phi1_label)[1]
 
 
 def _branch_overlap(phi0: np.ndarray, excitation: np.ndarray, system: SpinSystem,
@@ -296,7 +291,7 @@ def run_estimation(system: SpinSystem, phi0_label: str, phi1_label: str,
     config = config or EstimatorConfig()
     sampler = sampler or SamplerSpec()
     phi0, excitation = preparation_pair(phi0_label, phi1_label, system.n_spins)
-    gap = reference_gap(system, phi0_label, phi1_label)
+    gap = exact_gap(system, phi0_label, phi1_label)
 
     schedule = config.explicit_schedule
     if schedule:

@@ -18,6 +18,11 @@ paths in descending lexicographic order, so d=1 always descends through
 the highest intermediate spins (for three spins, d=1 is the doublet built
 from the triplet, d=2 the one built from the singlet).
 
+The reference gap of a run compares the eigenspaces of the exact
+spectrum that its two preparation states select.  `assignment` answers
+that once per (system, label) from the cached diagonalization
+`system_eigensystem`, and `exact_gap` subtracts the two energies.
+
 Qubit conventions, used throughout the package and its test oracles:
 
 * Qubits are indexed from 0, and qubit 0 is the MOST significant bit of
@@ -251,30 +256,32 @@ _SQRT6 = np.sqrt(6.0)
 #: Preparation states used by the gap-estimation runs.  T/S are the
 #: two-spin triplet (ms=0) and singlet; Q/D1/D2 are the three-spin quartet
 #: (ms=3/2) and the two doublets in the preparation convention where D1
-#: puts weight 2 on the middle spin flipped, |010>.  D1_rec / D2_rec are
-#: the recurrence outputs spin_eigenfunction(3, 1/2, 1/2, d) for d = 1, 2,
-#: which span the same doublet plane in a rotated frame.
+#: puts weight 2 on the middle spin flipped, |010>.  Each entry is
+#: (n, s, ms, d, amplitudes by basis index); D1_rec / D2_rec have no
+#: amplitudes and are the recurrence outputs spin_eigenfunction(3, 1/2,
+#: 1/2, d) for d = 1, 2, which span the same doublet plane in a rotated
+#: frame.
 NAMED_STATE_SPECS = {
     "T": (2, 1.0, 0.0, 1, {0b01: 1 / _SQRT2, 0b10: 1 / _SQRT2}),
     "S": (2, 0.0, 0.0, 1, {0b01: 1 / _SQRT2, 0b10: -1 / _SQRT2}),
     "Q": (3, 1.5, 1.5, 1, {0b000: 1.0}),
     "D1": (3, 0.5, 0.5, 1, {0b010: 2 / _SQRT6, 0b100: -1 / _SQRT6, 0b001: -1 / _SQRT6}),
     "D2": (3, 0.5, 0.5, 2, {0b001: 1 / _SQRT2, 0b100: -1 / _SQRT2}),
+    "D1_rec": (3, 0.5, 0.5, 1, None),
+    "D2_rec": (3, 0.5, 0.5, 2, None),
 }
 
 
 def named_state(label: str, n_spins: int) -> SpinEigenfunction:
     """Preparation state by label; see NAMED_STATE_SPECS for the catalog."""
-    if label in ("D1_rec", "D2_rec"):
-        if n_spins != 3:
-            raise ValueError(f"state {label!r} requires 3 spins, got {n_spins}")
-        return spin_eigenfunction(3, 0.5, 0.5, d=1 if label == "D1_rec" else 2)
     if label not in NAMED_STATE_SPECS:
         raise ValueError(f"unknown state label {label!r}; expected one of "
-                         f"{sorted(NAMED_STATE_SPECS) + ['D1_rec', 'D2_rec']}")
+                         f"{sorted(NAMED_STATE_SPECS)}")
     n, s, ms, d, entries = NAMED_STATE_SPECS[label]
     if n != n_spins:
         raise ValueError(f"state {label!r} requires {n} spins, got {n_spins}")
+    if entries is None:
+        return spin_eigenfunction(n, s, ms, d)
     coeffs = np.zeros(2 ** n)
     for index, value in entries.items():
         coeffs[index] = value
@@ -301,24 +308,6 @@ def spin_eigenbasis(n: int) -> list[SpinEigenfunction]:
 DEGENERACY_ATOL = 1e-9
 
 
-@dataclass
-class SpectrumReport:
-    """Exact diagonalization summary with named-state assignments.
-
-    assignments maps a state label to (eigenstate index, energy, weight).
-    Eigenvalues within DEGENERACY_ATOL are grouped into eigenspaces, and a
-    state is assigned to the eigenspace holding the largest share of its
-    weight, ties going to the lower energy.  The index is the eigenspace's
-    first (lowest) eigenvector index and the weight is the squared norm of
-    the state's projection onto the whole eigenspace, so neither depends
-    on the basis the eigensolver picks inside a degenerate eigenspace.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    assignments: dict[str, tuple[int, float, float]]
-
-
 @lru_cache(maxsize=512)
 def system_eigensystem(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     """Cached exact diagonalization of the system Hamiltonian: ascending
@@ -329,9 +318,21 @@ def system_eigensystem(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _assign(values: np.ndarray, vectors: np.ndarray,
-            state: SpinEigenfunction) -> tuple[int, float, float]:
-    weights = np.abs(vectors.T @ state.coefficients) ** 2
+@lru_cache(maxsize=1024)
+def assignment(system: SpinSystem, label: str) -> tuple[int, float, float]:
+    """(eigenstate index, energy, weight) of the eigenspace that the named
+    preparation state selects; an unknown or wrong-size label raises
+    ValueError and is not cached.
+
+    Eigenvalues within DEGENERACY_ATOL are grouped into eigenspaces, and
+    the state goes to the eigenspace holding the largest share of its
+    weight, ties going to the lower energy.  The index is the eigenspace's
+    first (lowest) eigenvector index and the weight is the squared norm of
+    the state's projection onto the whole eigenspace, so neither depends
+    on the basis the eigensolver picks inside a degenerate eigenspace.
+    """
+    values, vectors = system_eigensystem(system)
+    weights = np.abs(vectors.T @ named_state(label, system.n_spins).coefficients) ** 2
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > DEGENERACY_ATOL)
     shares = np.add.reduceat(weights, starts)
     best = int(np.argmax(shares > np.max(shares) - 1e-12))
@@ -339,16 +340,8 @@ def _assign(values: np.ndarray, vectors: np.ndarray,
     return first, float(values[first]), float(shares[best])
 
 
-def exact_gap(system: SpinSystem, ground_label: str,
-              excited_label: str) -> tuple[SpectrumReport, float]:
+def exact_gap(system: SpinSystem, ground_label: str, excited_label: str) -> float:
     """Reference energy difference between the eigenspaces that the named
-    preparation states select (largest-weight assignment, see
-    SpectrumReport)."""
-    values, vectors = system_eigensystem(system)
-    report = SpectrumReport(values, vectors, {})
-    for label in (ground_label, excited_label):
-        report.assignments[label] = _assign(values, vectors,
-                                            named_state(label, system.n_spins))
-    gap = (report.assignments[excited_label][1]
-           - report.assignments[ground_label][1])
-    return report, gap
+    preparation states select (see `assignment`)."""
+    ground_energy = assignment(system, ground_label)[1]
+    return assignment(system, excited_label)[1] - ground_energy

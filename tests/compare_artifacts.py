@@ -10,7 +10,9 @@ imports `qpde` from that tree and, through `qpde.cli.main`, runs
 exact and noisy, and `qpde optimize` on every bundled config, each into
 its own directory, and `qpde oracle`, which writes no files, on every
 bundled config.  It records each call's exit code and printed output in
-one more artifact, calls.json.
+one more artifact, calls.json, and each setting row of the seed survey,
+`tests/survey.py`'s `survey()` over its `settings()`, in survey.json
+(10-15 s more per tree on 2 vCPUs).
 Each tree's output root, which `summary.json` echoes as `output_dir` and
 the printed lines name, is then replaced by one placeholder, and every
 artifact of the two trees is compared byte for byte.  The script prints
@@ -33,7 +35,9 @@ MODES = ("exact", "noisy")
 CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+sys.path.append(sys.argv[5])
 from qpde.cli import bundled_config_names, main
+import survey
 root, seeds, modes = sys.argv[2], json.loads(sys.argv[3]), json.loads(sys.argv[4])
 calls = [[name, "run-seed%d" % seed, ["run", "--config", name, "--seed", str(seed)]]
          for name in bundled_config_names() for seed in seeds]
@@ -52,6 +56,9 @@ for name, leaf, argv in calls:
     record["%s/%s" % (name, leaf)] = [code, printed.getvalue()]
 with open("%s/calls.json" % root, "w") as handle:
     json.dump(record, handle, indent=1, sort_keys=True)
+rows = {name: survey.survey(runs) for name, runs in survey.settings()}
+with open("%s/survey.json" % root, "w") as handle:
+    json.dump(rows, handle, indent=1, sort_keys=True)
 """
 
 
@@ -61,7 +68,8 @@ def write_artifacts(src: Path, root: Path) -> dict[str, bytes]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, "-c", CHILD, str(src.resolve()), str(root),
-                    json.dumps(SEEDS), json.dumps(MODES)], env=env, check=True)
+                    json.dumps(SEEDS), json.dumps(MODES), str(Path(__file__).parent)],
+                   env=env, check=True)
     return {str(path.relative_to(root)): path.read_bytes().replace(str(root).encode(),
                                                                     b"<out>")
             for path in sorted(root.rglob("*")) if path.is_file()}

@@ -152,6 +152,29 @@ def test_wrong_json_type_is_a_config_error(tmp_path, capsys, section, key, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    (None, "samplr", {"mode": "noisy"}),
+    (None, "estimater", {"max_iterations": 1}),
+    ("system", "coupling", [[1, 2, 5.0]]),
+    ("prior", "sigam", 1.0),
+], ids=["top_level_sampler", "top_level_estimator", "system", "prior"])
+def test_misspelled_field_is_a_config_error(tmp_path, capsys, section, key, value):
+    out = tmp_path / "out"
+    config = {
+        "system": {"n_spins": 2, "couplings": [[1, 2, 1.0]]},
+        "ground_label": "T", "excited_label": "S",
+        "prior": {"shape": "gaussian", "mu": 0.0, "sigma": 10.0},
+        "sampler": {"mode": "shots"},
+    }
+    (config if section is None else config[section])[key] = value
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section or 'config'}.{key}: unknown field")
+    assert not out.exists()
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"system": \n  oops}')

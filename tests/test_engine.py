@@ -1,5 +1,6 @@
 """Interferometer measurement, the refinement loop, and restart semantics."""
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -526,7 +527,7 @@ def test_result_does_not_depend_on_cache_state(mode):
                                    sampler=SamplerSpec(mode, 500, 0.01, seed)))
 
     cleared = _clear_every_cache()
-    assert {"preparation_pair", "reference_gap", "_noisy_block",
+    assert {"preparation_pair", "assignment", "_noisy_block",
             "evolution_block", "system_eigensystem"} <= set(cleared)
     cold = estimate(triangle(1.0, 1.0, 2.0), "Q", "D2", 5)
     # Other labels, systems and seeds warm every cache, this run's keys too.
@@ -563,17 +564,20 @@ def test_failed_set_up_is_not_cached(labels, message):
     assert engine.preparation_pair.cache_info().currsize == 0
 
 
-def test_failed_reference_gap_is_not_cached():
-    engine.reference_gap.cache_clear()
-    for _ in range(2):
-        with pytest.raises(ValueError, match="unknown state label"):
-            engine.reference_gap(triangle(1.0, 1.0, 2.0), "Q", "D3")
-    assert engine.reference_gap.cache_info().currsize == 0
+def test_failed_assignment_is_not_cached():
+    spin.assignment.cache_clear()
+    for label, message in (("D3", "unknown state label"), ("T", "requires 2 spins")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                spin.assignment(triangle(1.0, 1.0, 2.0), label)
+    assert spin.assignment.cache_info().currsize == 0
 
 
 def test_set_up_reaches_spin_through_engine_names_on_misses(monkeypatch):
     # Profilers wrap qpde.engine.named_state and qpde.engine.exact_gap; the
-    # cached set-up calls them by those names whenever it builds.
+    # cached preparation pair calls named_state by that name whenever it
+    # builds, and each run calls exact_gap, whose label assignments are
+    # cached in spin.
     calls = []
 
     def counted(fn):
@@ -588,7 +592,8 @@ def test_set_up_reaches_spin_through_engine_names_on_misses(monkeypatch):
     for seed in (1, 2):
         run_estimation(two_spin_system(1.0), "T", "S", PriorSpec("gaussian", 0.0, 10.0),
                        sampler=SamplerSpec("shots", 500, seed=seed))
-    assert calls == ["named_state", "named_state", "exact_gap"]
+    assert calls == ["named_state", "named_state", "exact_gap", "exact_gap"]
+    assert spin.assignment.cache_info().misses == 2
 
 
 def test_noisy_mode_requires_trotter():
@@ -613,6 +618,12 @@ def test_estimator_config_validation():
             EstimatorConfig(explicit_schedule=((0.2, 1), (t, 3)))
     with pytest.raises(ValueError, match="initial_t"):
         EstimatorConfig(initial_t=0.0)
+    # An infinite time would only fail later, when default_steps rounds it.
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="initial_t must be positive"):
+            EstimatorConfig(initial_t=value)
+        with pytest.raises(ValueError, match="steps_per_unit_time must be positive"):
+            EstimatorConfig(steps_per_unit_time=value)
     with pytest.raises(ValueError, match="fit_retry_limit"):
         EstimatorConfig(fit_retry_limit=0)
     for limit in (0, -5):

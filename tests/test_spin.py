@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import to_spin_eigenbasis
-from qpde.spin import (SpinEigenfunction, SpinSystem, build_hamiltonian,
+from qpde.spin import (SpinEigenfunction, SpinSystem, assignment, build_hamiltonian,
                        exact_gap, linear_chain, named_state, spin_eigenbasis,
                        spin_eigenfunction, spin_squared, spin_z,
                        system_eigensystem, triangle, two_spin_system)
@@ -230,7 +230,7 @@ def test_recurrence_doublet_labels(label, d):
     assert np.array_equal(state.coefficients, expected.coefficients)
     with pytest.raises(ValueError, match="requires 3 spins"):
         named_state(label, 2)
-    _, gap = exact_gap(triangle(1.0, 1.0, 1.0), "Q", label)
+    gap = exact_gap(triangle(1.0, 1.0, 1.0), "Q", label)
     assert gap == pytest.approx(3.0, abs=1e-12)
 
 
@@ -318,40 +318,40 @@ EXACT_GAP_CASES = [
 
 @pytest.mark.parametrize("system, ground, excited, expected", EXACT_GAP_CASES)
 def test_exact_gaps_analytic_cases(system, ground, excited, expected):
-    _, gap = exact_gap(system, ground, excited)
+    gap = exact_gap(system, ground, excited)
     assert gap == pytest.approx(expected, abs=1e-9)
 
 
 def test_exact_gap_asymmetric_chain():
-    report, gap = exact_gap(linear_chain(1.0, 1.1), "Q", "D1")
+    gap = exact_gap(linear_chain(1.0, 1.1), "Q", "D1")
     assert gap == pytest.approx(asymmetric_gap_oracle(1.0, 1.1), abs=1e-10)
     assert gap == pytest.approx(3.1536, abs=0.005)
     # The preparation state overwhelmingly overlaps the assigned eigenstate.
-    assert report.assignments["D1"][2] > 0.99
+    assert assignment(linear_chain(1.0, 1.1), "D1")[2] > 0.99
 
 
 def test_exact_gap_assignment_reported():
-    report, gap = exact_gap(triangle(1.0, 1.0, 1.0), "Q", "D2")
-    idx_q, energy_q, overlap_q = report.assignments["Q"]
+    gap = exact_gap(triangle(1.0, 1.0, 1.0), "Q", "D2")
+    idx_q, energy_q, overlap_q = assignment(triangle(1.0, 1.0, 1.0), "Q")
     assert energy_q == pytest.approx(-1.5, abs=1e-12)
     assert gap == pytest.approx(3.0, abs=1e-12)
     # D2 is an exact eigenstate of the frustrated triangle, inside a
     # degenerate doublet: its whole weight lies in that eigenspace.
-    assert report.assignments["D2"][2] == pytest.approx(1.0, abs=1e-12)
+    assert assignment(triangle(1.0, 1.0, 1.0), "D2")[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_gap_invariant_under_spin_relabeling():
     # Mirroring the chain (swap spins 1 and 3) must not change the gap.
-    _, gap_a = exact_gap(linear_chain(1.0, 1.1), "Q", "D1")
-    _, gap_b = exact_gap(linear_chain(1.1, 1.0), "Q", "D1")
+    gap_a = exact_gap(linear_chain(1.0, 1.1), "Q", "D1")
+    gap_b = exact_gap(linear_chain(1.1, 1.0), "Q", "D1")
     assert gap_a == pytest.approx(gap_b, abs=1e-12)
 
 
 def test_degenerate_overlap_ties_break_to_lowest_index():
     # With zero couplings the whole spectrum is one eigenspace: |T> goes to
     # its first index with its full weight, whatever basis eigh returns.
-    report, gap = exact_gap(SpinSystem(2, ()), "T", "S")
-    assert report.assignments["T"] == (0, pytest.approx(0.0, abs=1e-15),
+    gap = exact_gap(SpinSystem(2, ()), "T", "S")
+    assert assignment(SpinSystem(2, ()), "T") == (0, pytest.approx(0.0, abs=1e-15),
                                        pytest.approx(1.0, abs=1e-12))
     assert gap == pytest.approx(0.0, abs=1e-15)
     # |D2> is the (1, 3) singlet times spin 2, with energy 3 j13 / 2, and
@@ -359,8 +359,8 @@ def test_degenerate_overlap_ties_break_to_lowest_index():
     # equal, so |D2> splits equally over the doublet eigenspaces at
     # sum(J)/2 -+ sqrt(3)/2; the lower one (first index 4, after the
     # quartet) wins.
-    report, gap = exact_gap(triangle(1.5, 0.5, 1.0), "Q", "D2")
-    index, energy, weight = report.assignments["D2"]
+    gap = exact_gap(triangle(1.5, 0.5, 1.0), "Q", "D2")
+    index, energy, weight = assignment(triangle(1.5, 0.5, 1.0), "D2")
     assert index == 4
     assert energy == pytest.approx(1.5 - SQRT3 / 2, abs=1e-12)
     assert weight == pytest.approx(0.5, abs=1e-12)
