@@ -9,12 +9,19 @@ import numpy as np
 
 from qpde import (cost_report, evolution_block, exact_evolution, exchange_rotations,
                   linear_chain, triangle)
-from qpde.evolution import trotter_step_unitary
+from qpde.spin import exchange_operator
 
 
 def trotter_unitary(system, t, n_steps):
-    """n_steps repetitions of one product-formula step."""
-    return np.linalg.matrix_power(trotter_step_unitary(system, t / n_steps), n_steps)
+    """n_steps repetitions of one product-formula step: each exchange
+    rotation e^{-ia/2} (cos a I + i sin a P_ij) embedded on the register,
+    in list order, and the step raised to the n_steps power."""
+    step = np.eye(system.dim, dtype=complex)
+    for i, j, angle in exchange_rotations(system, t / n_steps):
+        exchange = exchange_operator(system.n_spins, i, j)
+        step = np.exp(-0.5j * angle) * (np.cos(angle) * np.eye(system.dim)
+                                        + 1j * np.sin(angle) * exchange) @ step
+    return np.linalg.matrix_power(step, n_steps)
 
 
 system = triangle(1.0, 1.0, 1.0)

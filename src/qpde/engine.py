@@ -23,9 +23,11 @@ whole grid in one call on the (seed, iteration, attempt) stream of
 `sampling.derived_rng`.  Noisy mode draws them from the depolarized
 fringe: its mean overlap E[z] is computed exactly by
 `sampling.depolarized_overlap` on every sweep, from the exchange
-rotations of the one-step Trotter block that the ideal evolution raises
-to the n_steps power; the channel's n_steps-fold transfer block is
-cached across runs, so a (t, n_steps) seen before costs one contraction.
+rotations of one Trotter step (`evolution.exchange_rotations`), the
+factors whose n_steps-th power the ideal block is in closed form; the
+channel's n_steps-fold transfer block is cached across runs, so a
+(t, n_steps) seen before costs one contraction.  A sweep point is a
+named tuple (delta_eps, p0, p0_exact).
 
 What a run derives from its physics alone comes from bounded,
 process-wide caches whose arrays are read-only and shared:
@@ -54,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,8 +129,7 @@ class EstimatorConfig:
             object.__setattr__(self, "explicit_schedule", sched)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     delta_eps: float
     p0: float
     p0_exact: float
@@ -237,8 +239,7 @@ def _sweep_values(phi0: np.ndarray, excitation: np.ndarray, system: SpinSystem,
 
 def _points(grid: np.ndarray, values: np.ndarray,
             exact: np.ndarray) -> tuple[SweepPoint, ...]:
-    return tuple(SweepPoint(float(delta), float(value), float(p))
-                 for delta, value, p in zip(grid, values, exact))
+    return tuple(map(SweepPoint, grid.tolist(), values.tolist(), exact.tolist()))
 
 
 def sweep(phi0, phi1, system: SpinSystem, t: float,

@@ -12,43 +12,43 @@ reproducible (the first-order error depends on term order).  Each pair
 factor is exact, so every step is unitary, and for a single-coupling
 system one step is already the exact evolution.  `exchange_rotations`
 lists a step's factors as (i, j, angle) in that order: the noise channel
-takes them as they are, `trotter_step_unitary` multiplies them into a
-register matrix and the device-cost report counts their (i, j) supports.
-The exact propagator comes from the cached spectrum in `spin`.
+takes them as they are, the Trotter block is built from them and the
+device-cost report counts their (i, j) supports.  The exact propagator
+comes from the cached spectrum in `spin`.
 
 However many steps it holds, an evolution segment on the register is one
 fixed-size read-only matrix, built and cached only by `evolution_block`:
-the exact propagator, or the polar factor of the one-step block raised to
-the n_steps power.  The interferometer uses it, and so does the literal
+the exact propagator, or the n_steps-th power of the product-formula step
+in closed form.  Every P_ij commutes with total spin, so on the (s, ms)
+sectors of `spin.exchange_sectors` a step is a phase on each
+one-dimensional sector and, up to that global phase, an SU(2) matrix W on
+each two-dimensional one, whose power is
+
+    W^n = cos(n g) I + (sin(n g) / sin g) (W - cos g I),   cos g = tr W / 2.
+
+Up to three spins no sector is larger, so that is the Trotter mode's
+scope.  The interferometer uses the block, and so does the literal
 interferometer circuit of the test oracles.
 """
 from __future__ import annotations
 
+import cmath
+import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
 
-from .spin import SpinSystem, exchange_operator, system_eigensystem
+from .spin import SpinSystem, exchange_sectors, system_eigensystem
 
-
-def _exchange_rotation(angle: float, exchange: np.ndarray) -> np.ndarray:
-    return (np.exp(-0.5j * angle)
-            * (np.cos(angle) * np.eye(len(exchange)) + 1j * np.sin(angle) * exchange))
+#: Largest register whose total-spin sectors are all at most two-dimensional.
+MAX_TROTTER_SPINS = 3
 
 
 def exchange_rotations(system: SpinSystem, dt: float) -> list[tuple[int, int, float]]:
     """One product-formula step as its exchange rotations (i, j, J dt), in
     (i, j) ascending order; zero couplings stay in the list."""
     return [(i, j, strength * dt) for i, j, strength in sorted(system.couplings)]
-
-
-def trotter_step_unitary(system: SpinSystem, dt: float) -> np.ndarray:
-    """Whole-register unitary of one product-formula step: each exchange
-    rotation embedded on the register, in list order."""
-    step = np.eye(system.dim, dtype=complex)
-    for i, j, angle in exchange_rotations(system, dt):
-        step = _exchange_rotation(angle, exchange_operator(system.n_spins, i, j)) @ step
-    return step
 
 
 def exact_evolution(system: SpinSystem, t: float) -> np.ndarray:
@@ -58,21 +58,66 @@ def exact_evolution(system: SpinSystem, t: float) -> np.ndarray:
     return (vectors * phases) @ vectors.conj().T
 
 
+def _sector_power(factors, sector: int, size: int, n_steps: int) -> list[complex]:
+    """Entries, row-major, of the n_steps-th power of one sector's step
+    without its global phase: the step's factors cos a + i sin a P_ij,
+    given as (cos a, sin a, P_ij's sector blocks), multiplied on Python
+    complex numbers, later rotations on the left."""
+    if size == 1:
+        factor = 1 + 0j
+        for c, s, blocks in factors:
+            factor *= complex(c, s * blocks[sector][0][0])
+        return [cmath.exp(1j * n_steps * cmath.phase(factor))]
+    w00, w01, w10, w11 = 1 + 0j, 0j, 0j, 1 + 0j
+    for c, s, blocks in factors:
+        (p00, p01), (p10, p11) = blocks[sector]
+        f00, f01, f10, f11 = complex(c, s * p00), 1j * s * p01, 1j * s * p10, complex(c, s * p11)
+        w00, w01, w10, w11 = (f00 * w00 + f01 * w10, f00 * w01 + f01 * w11,
+                              f10 * w00 + f11 * w10, f10 * w01 + f11 * w11)
+    # W = w I + i (x X + y Y + z Z) with real Pauli components; the
+    # components, not arccos, give sin g at every angle.
+    w = 0.5 * (w00 + w11).real
+    x, y, z = 0.5 * (w01 + w10).imag, 0.5 * (w01 - w10).real, 0.5 * (w00 - w11).imag
+    sin_g = math.hypot(x, y, z)
+    angle = n_steps * math.atan2(sin_g, w)
+    cos_n = math.cos(angle)
+    if sin_g == 0.0:
+        return [complex(cos_n), 0j, 0j, complex(cos_n)]
+    ratio = math.sin(angle) / sin_g
+    return [complex(cos_n, ratio * z), complex(ratio * y, ratio * x),
+            complex(-ratio * y, ratio * x), complex(cos_n, -ratio * z)]
+
+
+def _trotter_block(system: SpinSystem, t: float, n_steps: int) -> np.ndarray:
+    """n_steps product-formula steps as one register matrix, assembled in
+    closed form on the total-spin sectors."""
+    if system.n_spins > MAX_TROTTER_SPINS:
+        raise ValueError(f"trotter evolution covers at most {MAX_TROTTER_SPINS} spins, "
+                         f"got {system.n_spins}")
+    sectors = exchange_sectors(system.n_spins)
+    rotations = exchange_rotations(system, t / n_steps)
+    factors = [(math.cos(angle), math.sin(angle), sectors.blocks[i, j])
+               for i, j, angle in rotations]
+    phase = cmath.exp(-0.5j * n_steps * sum(angle for _, _, angle in rotations))
+    entries = [phase * entry for sector, size in enumerate(sectors.sizes)
+               for entry in _sector_power(factors, sector, size, n_steps)]
+    units = sectors.units
+    return (np.array(entries) @ units.reshape(len(units), -1)).reshape(system.dim, system.dim)
+
+
 @lru_cache(maxsize=4096)
 def evolution_block(system: SpinSystem, t: float, evolution: str,
                     n_steps: int | None) -> np.ndarray:
     """Read-only register matrix of exp(-iHt), exact or as n_steps Trotter
-    steps; the cache hands every caller the same array."""
+    steps (a positive integer; at most three spins); the cache hands every
+    caller the same array."""
     if evolution == "exact":
         block = exact_evolution(system, t)
     elif evolution == "trotter":
-        if n_steps is None:
-            raise ValueError("trotter evolution requires n_steps")
-        # The power multiplies the step's rounding error by n_steps; its
-        # polar factor is the nearest unitary.
-        one_step = trotter_step_unitary(system, t / n_steps)
-        w, _, vh = np.linalg.svd(np.linalg.matrix_power(one_step, n_steps))
-        block = w @ vh
+        if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1):
+            raise ValueError(f"trotter evolution requires a positive integer n_steps, "
+                             f"got {n_steps!r}")
+        block = _trotter_block(system, t, n_steps)
     else:
         raise ValueError(f"evolution mode {evolution!r} not recognized")
     block.setflags(write=False)

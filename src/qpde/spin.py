@@ -35,9 +35,12 @@ Qubit conventions, used throughout the package and its test oracles:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -304,6 +307,46 @@ def spin_eigenbasis(n: int) -> list[SpinEigenfunction]:
     return basis
 
 
+class ExchangeSectors(NamedTuple):
+    """The exchange operators of n spins, sector by sector (see
+    `exchange_sectors`)."""
+
+    sizes: tuple[int, ...]
+    blocks: Mapping[tuple[int, int], tuple[tuple[tuple[float, ...], ...], ...]]
+    units: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def exchange_sectors(n: int) -> ExchangeSectors:
+    """Every exchange operator P_ij of n spins as blocks on the (s, ms)
+    sectors of the fixed eigenbasis `spin_eigenbasis(n)`; built on first
+    use, then cached and read-only.
+
+    P_ij commutes with S^2 and S_z, so it maps the span of each sector's
+    m basis vectors V (one per degeneracy index) into itself, where it is
+    the real symmetric m x m block V^T P_ij V.  Sectors are (s, ms) pairs,
+    not s alone: the recurrence's sign convention flips some ms < 0
+    members, so one s has different blocks at different ms.  `sizes` holds
+    each sector's m in eigenbasis order, `blocks[(i, j)]` P_ij's block in
+    each sector as nested tuples of floats, and `units` the read-only stack
+    of the real 2^n x 2^n matrices v_a v_b^T, sector by sector and (a, b)
+    row-major within one: an operator that is block diagonal on the
+    sectors is its blocks' entries in that order, times the stack.  The
+    stack is stored complex, the type of the operators it assembles.
+    """
+    sectors: dict[tuple[float, float], list[np.ndarray]] = {}
+    for member in spin_eigenbasis(n):
+        sectors.setdefault((member.s, member.ms), []).append(member.coefficients)
+    bases = [np.column_stack(vectors) for vectors in sectors.values()]
+    blocks = {(i, j): tuple(tuple(map(tuple, (v.T @ exchange_operator(n, i, j) @ v).tolist()))
+                            for v in bases)
+              for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    units = np.array([np.outer(v[:, a], v[:, b]) for v in bases
+                      for a in range(v.shape[1]) for b in range(v.shape[1])], dtype=complex)
+    units.setflags(write=False)
+    return ExchangeSectors(tuple(v.shape[1] for v in bases), MappingProxyType(blocks), units)
+
+
 #: Eigenvalues closer than this form one degenerate eigenspace.
 DEGENERACY_ATOL = 1e-9
 
@@ -333,11 +376,13 @@ def assignment(system: SpinSystem, label: str) -> tuple[int, float, float]:
     """
     values, vectors = system_eigensystem(system)
     weights = np.abs(vectors.T @ named_state(label, system.n_spins).coefficients) ** 2
-    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > DEGENERACY_ATOL)
+    energies = values.tolist()
+    starts = [0] + [k for k in range(1, len(energies))
+                    if energies[k] - energies[k - 1] > DEGENERACY_ATOL]
     shares = np.add.reduceat(weights, starts)
     best = int(np.argmax(shares > np.max(shares) - 1e-12))
-    first = int(starts[best])
-    return first, float(values[first]), float(shares[best])
+    first = starts[best]
+    return first, energies[first], float(shares[best])
 
 
 def exact_gap(system: SpinSystem, ground_label: str, excited_label: str) -> float:

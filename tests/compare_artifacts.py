@@ -17,13 +17,17 @@ Each tree's output root, which `summary.json` echoes as `output_dir` and
 the printed lines name, is then replaced by one placeholder, and every
 artifact of the two trees is compared byte for byte.  The script prints
 each artifact that differs or exists on one side only, then a count, and
-exits 1 if any artifact differs.
+exits 1 if any artifact differs.  For an artifact that differs it also
+says whether the two texts are the same once every number is masked and,
+if so, the largest relative and absolute differences between their
+numbers, so a rounding-level change reads apart from a changed result.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,6 +35,7 @@ from pathlib import Path
 
 SEEDS = (1, 2, 3)
 MODES = ("exact", "noisy")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 CHILD = """
 import contextlib, io, json, sys
@@ -75,6 +80,21 @@ def write_artifacts(src: Path, root: Path) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def numeric_drift(old: bytes, new: bytes) -> str:
+    """How far two differing texts are apart: their shape once numbers are
+    masked, and then the largest |a - b| / max(|a|, |b|) and |a - b| over
+    paired numbers that differ."""
+    old_text, new_text = old.decode(errors="replace"), new.decode(errors="replace")
+    if NUMBER.sub("#", old_text) != NUMBER.sub("#", new_text):
+        return "text differs beyond its numbers"
+    pairs = [(a, b) for a, b in zip(map(float, NUMBER.findall(old_text)),
+                                    map(float, NUMBER.findall(new_text))) if a != b]
+    relative = max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs), default=0.0)
+    absolute = max((abs(a - b) for a, b in pairs), default=0.0)
+    return (f"same text once numbers are masked, max relative difference {relative:.2e}, "
+            f"max absolute difference {absolute:.2e}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
@@ -88,7 +108,7 @@ def main(argv=None) -> int:
         if name not in old or name not in new:
             print(f"only in {'old' if name in old else 'new'}: {name}")
         elif old[name] != new[name]:
-            print(f"differs: {name}")
+            print(f"differs: {name}: {numeric_drift(old[name], new[name])}")
         else:
             continue
         differing += 1

@@ -1,10 +1,16 @@
-"""Pair exponentials, product-formula circuits, and the exact propagator."""
+"""Pair exponentials, product-formula circuits, the exact propagator, and
+the closed-form Trotter block against the literal circuit."""
+import math
+
 import numpy as np
 import pytest
 
 from oracles import TrotterPlan, circuit_unitary, pair_term_unitary, trotter_circuit
-from qpde.evolution import exact_evolution
-from qpde.spin import build_hamiltonian, linear_chain, named_state, triangle, two_spin_system
+from qpde.engine import EstimatorConfig, PriorSpec, sweep
+from qpde.evolution import evolution_block, exact_evolution
+from qpde.sampling import SamplerSpec
+from qpde.spin import (SpinSystem, build_hamiltonian, linear_chain, named_state, triangle,
+                       two_spin_system)
 
 
 def test_zero_time_is_identity():
@@ -97,3 +103,64 @@ def test_first_order_error_halves_when_steps_double():
         errors.append(np.linalg.norm(u - exact, ord=2))
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.8 <= coarse / fine <= 2.2
+
+
+_TROTTER_SYSTEMS = {
+    "one_spin": SpinSystem(1, ()),
+    "two_spin": two_spin_system(-0.8),
+    "chain": linear_chain(1.3, -0.6),
+    "triangle": triangle(0.7805, 1.2124, -0.4),
+    "zero_couplings": SpinSystem(3, ((1, 2, 0.0), (1, 3, 0.0), (2, 3, 0.0))),
+    "zero_and_negative": SpinSystem(3, ((1, 2, 0.0), (2, 3, -1.7))),
+    "single_13": SpinSystem(3, ((1, 3, 1.1),)),
+    "unsorted": SpinSystem(3, ((2, 3, 0.9), (1, 3, -1.2), (1, 2, 0.5))),
+}
+
+
+def _assert_block_is_literal_circuit(system, t, n_steps):
+    block = evolution_block(system, t, "trotter", n_steps)
+    literal = circuit_unitary(trotter_circuit(system, TrotterPlan(t, n_steps)))
+    assert np.max(np.abs(block - literal)) <= 1e-12
+    assert np.max(np.abs(block.conj().T @ block - np.eye(system.dim))) <= 1e-14
+
+
+@pytest.mark.parametrize("system", _TROTTER_SYSTEMS.values(), ids=_TROTTER_SYSTEMS.keys())
+@pytest.mark.parametrize("t, n_steps", [(0.2, 1), (1.0, 7), (4.2, 1200)])
+def test_closed_form_trotter_block_is_the_step_circuit(system, t, n_steps):
+    _assert_block_is_literal_circuit(system, t, n_steps)
+
+
+@pytest.mark.parametrize("system, angle", [(triangle(1.0, 1.0, 1.0), math.pi),
+                                           (linear_chain(-1.0, 1.0), math.pi),
+                                           (linear_chain(1.0, 1.0), math.pi / 2)],
+                         ids=["triangle_pi", "chain_pi", "chain_half_pi"])
+@pytest.mark.parametrize("n_steps", [1, 3, 6, 1200])
+def test_closed_form_at_degenerate_angles(system, angle, n_steps):
+    # At J dt = pi every factor is -I up to rounding, so the doublet step is
+    # +-I and sin g is rounding; at pi/2 on both chain couplings the doublet
+    # step is a rotation by g = pi/3, whose 3rd and 6th powers are -I and I.
+    _assert_block_is_literal_circuit(system, angle * n_steps, n_steps)
+
+
+def test_trotter_block_rejects_more_than_three_spins():
+    system = SpinSystem(4, ((1, 2, 1.0), (3, 4, 0.5)))
+    with pytest.raises(ValueError, match="at most 3 spins"):
+        evolution_block(system, 0.5, "trotter", 10)
+    exact = evolution_block(system, 0.5, "exact", None)
+    assert np.max(np.abs(exact.conj().T @ exact - np.eye(16))) <= 1e-13
+
+
+@pytest.mark.parametrize("n_steps", [-3, 0, 2.5, 3.0, None])
+def test_trotter_block_rejects_step_counts_that_are_not_positive_integers(n_steps):
+    # Before, -3 returned an 8x8 matrix, 0 raised ZeroDivisionError and
+    # 2.5 a TypeError.
+    with pytest.raises(ValueError, match="positive integer n_steps"):
+        evolution_block(triangle(1.0, 1.0, 2.0), 1.0, "trotter", n_steps)
+
+
+def test_sweep_rejects_a_negative_step_count():
+    phi0 = named_state("Q", 3).coefficients
+    phi1 = named_state("D2", 3).coefficients
+    with pytest.raises(ValueError, match="positive integer n_steps"):
+        sweep(phi0, phi1, triangle(1.0, 1.0, 2.0), 1.0, PriorSpec("gaussian", 3.0, 2.0),
+              EstimatorConfig(), SamplerSpec(mode="exact"), n_steps=-3)

@@ -30,7 +30,7 @@ TEST_ONLY_NAMES = {
     "trotter_circuit", "TrotterPlan", "Circuit",
     "Gate", "Gate.two", "Gate.register", "Statevector", "SWAP", "pair_term_unitary",
     "SpinEigenfunction.to_statevector", "_SweepEvaluator", "SpectrumReport.labeled_gaps",
-    "SpectrumReport", "reference_gap",
+    "SpectrumReport", "reference_gap", "trotter_step_unitary", "_exchange_rotation",
 }
 
 

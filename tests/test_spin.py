@@ -9,9 +9,9 @@ import pytest
 
 from oracles import to_spin_eigenbasis
 from qpde.spin import (SpinEigenfunction, SpinSystem, assignment, build_hamiltonian,
-                       exact_gap, linear_chain, named_state, spin_eigenbasis,
-                       spin_eigenfunction, spin_squared, spin_z,
-                       system_eigensystem, triangle, two_spin_system)
+                       exact_gap, exchange_operator, exchange_sectors, linear_chain,
+                       named_state, spin_eigenbasis, spin_eigenfunction, spin_squared,
+                       spin_z, system_eigensystem, triangle, two_spin_system)
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -188,6 +188,44 @@ def test_eigenbasis_orthonormal():
         basis = np.column_stack([b.coefficients for b in spin_eigenbasis(n)])
         gram = basis.T @ basis
         assert np.max(np.abs(gram - np.eye(2 ** n))) <= 1e-12
+
+
+@pytest.mark.parametrize("n, sizes", [(1, (1, 1)), (2, (1, 1, 1, 1)),
+                                      (3, (1, 1, 1, 1, 2, 2)),
+                                      (4, (1, 1, 1, 1, 1, 3, 3, 3, 2))])
+def test_exchange_sectors_rebuild_every_exchange_operator(n, sizes):
+    table = exchange_sectors(n)
+    assert table.sizes == sizes
+    assert table.units.shape == (sum(m * m for m in sizes), 2 ** n, 2 ** n)
+    assert sorted(table.blocks) == [(i, j) for i in range(1, n + 1)
+                                    for j in range(i + 1, n + 1)]
+    for (i, j), blocks in table.blocks.items():
+        assert [len(block) for block in blocks] == list(sizes)
+        entries = [entry for block in blocks for row in block for entry in row]
+        rebuilt = np.tensordot(entries, table.units, 1)
+        assert np.max(np.abs(rebuilt - exchange_operator(n, i, j))) <= 1e-14
+        for block in blocks:
+            assert np.allclose(block, np.transpose(block), rtol=0, atol=1e-15)
+
+
+def test_exchange_sectors_differ_between_doublet_ms_values():
+    # The recurrence flips the ms = -1/2 member of the doublet built from
+    # the triplet, so the off-diagonal of P_13 changes sign between the
+    # (1/2, 1/2) and (1/2, -1/2) sectors: blocks are per (s, ms).
+    up, down = exchange_sectors(3).blocks[1, 3][4:]
+    assert up[0][1] == pytest.approx(-down[0][1], abs=1e-15)
+    assert abs(up[0][1]) > 0.8
+
+
+def test_exchange_sectors_are_cached_and_read_only():
+    table = exchange_sectors(3)
+    assert exchange_sectors(3) is table
+    with pytest.raises(ValueError):
+        table.units[0, 0, 0] = 1.0
+    with pytest.raises(TypeError):
+        table.blocks[1, 2] = ((1.0,),)
+    with pytest.raises(AttributeError):
+        table.sizes = ()
 
 
 def test_invalid_quantum_numbers_rejected():
