@@ -1,13 +1,15 @@
 """Spin systems, their exact spectra, and the labeled energy gaps.
 
-Walks the six benchmark configurations: builds each Heisenberg
-Hamiltonian, diagonalizes it exactly, and reports the gap between the
-eigenstates best matched by the named preparation states.
+Walks the six benchmark configurations: takes each Heisenberg
+Hamiltonian's exact spectrum from its blocks on the total-spin sectors,
+and reports the gap between the eigenstates best matched by the named
+preparation states.
 """
 import numpy as np
 
-from qpde import (assignment, build_hamiltonian, exact_gap, linear_chain, named_state,
-                  spin_squared, system_eigensystem, triangle, two_spin_system)
+from qpde import (assignment, exact_gap, linear_chain, named_state, system_eigensystem,
+                  triangle, two_spin_system)
+from qpde.spin import exchange_operator, sector_hamiltonian
 
 CONFIGS = [
     ("two-spin chain        ", two_spin_system(1.0), "T", "S"),
@@ -32,10 +34,16 @@ for name, system, ground, excited in CONFIGS:
 print()
 
 print("The quartet/triplet structure comes from the total-spin symmetry:")
+print("H has one block per (s, ms) sector of the spin eigenbasis.")
 system = linear_chain(1.0, 1.0)
-h = build_hamiltonian(system)
-s2 = spin_squared(3)
-print(f"  || [H, S^2] ||_max = {np.max(np.abs(h @ s2 - s2 @ h)):.2e}")
+sectors, blocks = sector_hamiltonian(system)
+for size, block in zip(sectors.sizes, blocks):
+    entries = f"{block:+.3f}" if size == 1 else str(np.round(block, 3).tolist())
+    print(f"  {size}x{size} sector block: {entries}")
+# S^2 = 3n/4 + sum_{i<j} (P_ij - 1/2), from the exchange operators.
+s2 = 0.75 * 3 * np.eye(8)
+for i, j in ((1, 2), (1, 3), (2, 3)):
+    s2 += exchange_operator(3, i, j) - 0.5 * np.eye(8)
 for label in ("Q", "D1", "D2"):
     state = named_state(label, 3)
     vec = state.coefficients

@@ -7,8 +7,7 @@ evolutions cheap.
 """
 import numpy as np
 
-from qpde import (cost_report, evolution_block, exact_evolution, exchange_rotations,
-                  linear_chain, triangle)
+from qpde import cost_report, evolution_block, exchange_rotations, linear_chain, triangle
 from qpde.spin import exchange_operator
 
 
@@ -26,7 +25,7 @@ def trotter_unitary(system, t, n_steps):
 
 system = triangle(1.0, 1.0, 1.0)
 t = 0.8
-exact = exact_evolution(system, t)
+exact = evolution_block(system, t, "exact", None)
 print(f"Frustrated triangle, t = {t}: product-formula error vs step count")
 previous = None
 for n_steps in (30, 60, 120, 240):

@@ -63,7 +63,7 @@ import numpy as np
 from .evolution import evolution_block, exchange_rotations
 from .fitting import FitResult, GaussianEstimate, fit_gaussian, multiply_gaussians
 from .sampling import (SamplerSpec, depolarized_overlap, derived_rng, fringe_p0,
-                       sample_p0)
+                       integer_field, sample_p0)
 from .spin import SpinSystem, exact_gap, named_state
 
 NORM_ATOL = 1e-12
@@ -101,6 +101,8 @@ class EstimatorConfig:
     explicit_schedule: tuple[tuple[float, int], ...] | None = None
 
     def __post_init__(self):
+        for name in ("grid_points", "max_iterations", "restart_limit", "fit_retry_limit"):
+            object.__setattr__(self, name, integer_field(getattr(self, name), name))
         if not 0 < self.lambda_restart < 1:
             raise ValueError("lambda_restart must lie in (0, 1)")
         if not self.e_thre > 0:
@@ -122,7 +124,8 @@ class EstimatorConfig:
         if self.evolution not in ("exact", "trotter"):
             raise ValueError(f"evolution mode {self.evolution!r} not recognized")
         if self.explicit_schedule is not None:
-            sched = tuple((float(t), int(n)) for t, n in self.explicit_schedule)
+            sched = tuple((float(t), integer_field(n, "schedule step count"))
+                          for t, n in self.explicit_schedule)
             for t, n in sched:
                 if not (math.isfinite(t) and t > 0) or n < 1:
                     raise ValueError(f"bad schedule entry ({t}, {n})")

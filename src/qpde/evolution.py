@@ -13,21 +13,21 @@ factor is exact, so every step is unitary, and for a single-coupling
 system one step is already the exact evolution.  `exchange_rotations`
 lists a step's factors as (i, j, angle) in that order: the noise channel
 takes them as they are, the Trotter block is built from them and the
-device-cost report counts their (i, j) supports.  The exact propagator
-comes from the cached spectrum in `spin`.
+device-cost report counts their (i, j) supports.
 
 However many steps it holds, an evolution segment on the register is one
-fixed-size read-only matrix, built and cached only by `evolution_block`:
-the exact propagator, or the n_steps-th power of the product-formula step
-in closed form.  Every P_ij commutes with total spin, so on the (s, ms)
-sectors of `spin.exchange_sectors` a step is a phase on each
-one-dimensional sector and, up to that global phase, an SU(2) matrix W on
-each two-dimensional one, whose power is
+fixed-size read-only matrix, built and cached only by `evolution_block`
+from the (s, ms) sectors of `spin.sector_hamiltonian`: the exact
+propagator V e^{-iEt} V^T from the cached spectrum, or the n_steps-th
+power of the product-formula step in closed form.  Every P_ij commutes
+with total spin, so on a one-dimensional sector that power is exactly
+e^{-iht}, and on a doublet plane the step is, up to a global phase, an
+SU(2) matrix W whose power is
 
     W^n = cos(n g) I + (sin(n g) / sin g) (W - cos g I),   cos g = tr W / 2.
 
-Up to three spins no sector is larger, so that is the Trotter mode's
-scope.  The interferometer uses the block, and so does the literal
+Up to three spins no sector is larger, so that is the scope of both
+modes.  The interferometer uses the block, and so does the literal
 interferometer circuit of the test oracles.
 """
 from __future__ import annotations
@@ -39,10 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin import SpinSystem, exchange_sectors, system_eigensystem
-
-#: Largest register whose total-spin sectors are all at most two-dimensional.
-MAX_TROTTER_SPINS = 3
+from .spin import SpinSystem, sector_hamiltonian, system_eigensystem
 
 
 def exchange_rotations(system: SpinSystem, dt: float) -> list[tuple[int, int, float]]:
@@ -51,23 +48,11 @@ def exchange_rotations(system: SpinSystem, dt: float) -> list[tuple[int, int, fl
     return [(i, j, strength * dt) for i, j, strength in sorted(system.couplings)]
 
 
-def exact_evolution(system: SpinSystem, t: float) -> np.ndarray:
-    """Whole-register unitary exp(-iHt) from exact diagonalization."""
-    values, vectors = system_eigensystem(system)
-    phases = np.exp(-1j * values * t)
-    return (vectors * phases) @ vectors.conj().T
-
-
-def _sector_power(factors, sector: int, size: int, n_steps: int) -> list[complex]:
-    """Entries, row-major, of the n_steps-th power of one sector's step
-    without its global phase: the step's factors cos a + i sin a P_ij,
+def _sector_power(factors, sector: int, n_steps: int) -> list[complex]:
+    """Entries, row-major, of the n_steps-th power of one doublet plane's
+    step without its global phase: the step's factors cos a + i sin a P_ij,
     given as (cos a, sin a, P_ij's sector blocks), multiplied on Python
     complex numbers, later rotations on the left."""
-    if size == 1:
-        factor = 1 + 0j
-        for c, s, blocks in factors:
-            factor *= complex(c, s * blocks[sector][0][0])
-        return [cmath.exp(1j * n_steps * cmath.phase(factor))]
     w00, w01, w10, w11 = 1 + 0j, 0j, 0j, 1 + 0j
     for c, s, blocks in factors:
         (p00, p01), (p10, p11) = blocks[sector]
@@ -91,16 +76,15 @@ def _sector_power(factors, sector: int, size: int, n_steps: int) -> list[complex
 def _trotter_block(system: SpinSystem, t: float, n_steps: int) -> np.ndarray:
     """n_steps product-formula steps as one register matrix, assembled in
     closed form on the total-spin sectors."""
-    if system.n_spins > MAX_TROTTER_SPINS:
-        raise ValueError(f"trotter evolution covers at most {MAX_TROTTER_SPINS} spins, "
-                         f"got {system.n_spins}")
-    sectors = exchange_sectors(system.n_spins)
+    sectors, hamiltonian = sector_hamiltonian(system)
     rotations = exchange_rotations(system, t / n_steps)
     factors = [(math.cos(angle), math.sin(angle), sectors.blocks[i, j])
                for i, j, angle in rotations]
     phase = cmath.exp(-0.5j * n_steps * sum(angle for _, _, angle in rotations))
-    entries = [phase * entry for sector, size in enumerate(sectors.sizes)
-               for entry in _sector_power(factors, sector, size, n_steps)]
+    entries = []
+    for sector, (size, h) in enumerate(zip(sectors.sizes, hamiltonian)):
+        entries += ([cmath.exp(-1j * h * t)] if size == 1 else
+                    [phase * entry for entry in _sector_power(factors, sector, n_steps)])
     units = sectors.units
     return (np.array(entries) @ units.reshape(len(units), -1)).reshape(system.dim, system.dim)
 
@@ -109,10 +93,11 @@ def _trotter_block(system: SpinSystem, t: float, n_steps: int) -> np.ndarray:
 def evolution_block(system: SpinSystem, t: float, evolution: str,
                     n_steps: int | None) -> np.ndarray:
     """Read-only register matrix of exp(-iHt), exact or as n_steps Trotter
-    steps (a positive integer; at most three spins); the cache hands every
-    caller the same array."""
+    steps (a positive integer); at most three spins in either mode.  The
+    cache hands every caller the same array."""
     if evolution == "exact":
-        block = exact_evolution(system, t)
+        values, vectors = system_eigensystem(system)
+        block = (vectors * np.exp(-1j * values * t)) @ vectors.T
     elif evolution == "trotter":
         if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1):
             raise ValueError(f"trotter evolution requires a positive integer n_steps, "

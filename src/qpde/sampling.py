@@ -46,6 +46,13 @@ import numpy as np
 from .spin import exchange_operator
 
 
+def integer_field(value, name: str) -> int:
+    """An integer configuration field as an int; anything else, a bool too, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """How sweep probabilities are turned into data.
@@ -66,10 +73,7 @@ class SamplerSpec:
         if self.mode not in ("exact", "shots", "noisy"):
             raise ValueError(f"unknown sampler mode {self.mode!r}")
         for name in ("shots", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer_field(getattr(self, name), name))
         if self.shots < 1:
             raise ValueError("shot count must be at least 1")
         if not 0.0 <= self.p_depol <= 1.0:

@@ -3,11 +3,10 @@
 The model is H = -2 * sum_{i<j} J_ij (S_i . S_j) over spin-1/2 sites, so a
 positive coupling is ferromagnetic and a negative one antiferromagnetic.
 With S_i . S_j = P_ij / 2 - 1/4, where the exchange operator P_ij swaps
-spins i and j, H = sum J_ij (1/2 - P_ij); H and total S^2 are built from
-cached permutation matrices.  H commutes with total S^2, which is why
-products of S^2 eigenfunctions ("spin eigenfunctions") are the natural
-preparation states: for symmetric coupling patterns they are exact energy
-eigenstates.
+spins i and j, H = sum J_ij (1/2 - P_ij).  H commutes with total S^2,
+which is why products of S^2 eigenfunctions ("spin eigenfunctions") are
+the natural preparation states: for symmetric coupling patterns they are
+exact energy eigenstates.
 
 Spin eigenfunctions are generated by the angular-momentum addition
 recurrence, coupling one spin-1/2 at a time.  A target (n, s) sector is
@@ -18,10 +17,10 @@ paths in descending lexicographic order, so d=1 always descends through
 the highest intermediate spins (for three spins, d=1 is the doublet built
 from the triplet, d=2 the one built from the singlet).
 
-The reference gap of a run compares the eigenspaces of the exact
-spectrum that its two preparation states select.  `assignment` answers
-that once per (system, label) from the cached diagonalization
-`system_eigensystem`, and `exact_gap` subtracts the two energies.
+H is kept as its blocks on the (s, ms) sectors (`sector_hamiltonian`), at
+most 2x2 up to three spins, the package's scope; `system_eigensystem`
+solves them in closed form.  `assignment` picks the eigenspace a state
+selects, and `exact_gap`, a run's reference gap, subtracts two energies.
 
 Qubit conventions, used throughout the package and its test oracles:
 
@@ -37,7 +36,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -100,34 +98,6 @@ def exchange_operator(n: int, i: int, j: int) -> np.ndarray:
     return p
 
 
-def build_hamiltonian(system: SpinSystem) -> np.ndarray:
-    """Dense 2^n x 2^n Heisenberg Hamiltonian sum J (I/2 - P_ij), real symmetric."""
-    n = system.n_spins
-    half = 0.5 * np.eye(system.dim)
-    h = np.zeros((system.dim, system.dim))
-    for i, j, strength in system.couplings:
-        h += strength * (half - exchange_operator(n, i, j))
-    return h
-
-
-def spin_squared(n: int) -> np.ndarray:
-    """Total-spin operator S^2 = 3n/4 + sum_{i<j} (P_ij - 1/2) for n spin-1/2 sites."""
-    if n < 1:
-        raise ValueError("need at least one spin")
-    half = 0.5 * np.eye(2 ** n)
-    s2 = 0.75 * n * np.eye(2 ** n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            s2 += exchange_operator(n, i, j) - half
-    return s2
-
-
-def spin_z(n: int) -> np.ndarray:
-    """Total S_z, diagonal in the computational basis."""
-    diag = [(n - 2 * bin(idx).count("1")) / 2.0 for idx in range(2 ** n)]
-    return np.diag(diag)
-
-
 @dataclass(frozen=True)
 class SpinEigenfunction:
     """Simultaneous S^2 / S_z eigenvector with real coefficients.
@@ -153,66 +123,65 @@ class SpinEigenfunction:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def _branch_paths(n: int, s: Fraction) -> list[tuple[Fraction, ...]]:
-    """All genealogical paths from one spin up to total spin s at n spins,
-    in descending lexicographic order of the intermediate-spin sequence."""
-    half = Fraction(1, 2)
+def _doubled(value: float, name: str) -> int:
+    """2 * value as an int; ValueError unless value is a half-integer."""
+    if not (math.isfinite(2 * value) and 2 * value == round(2 * value)):
+        raise ValueError(f"{name}={value} must be a half-integer")
+    return int(round(2 * value))
 
-    def extend(path: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]:
+
+def _branch_paths(n: int, two_s: int) -> list[tuple[int, ...]]:
+    """All genealogical paths to total spin two_s / 2 at n spins, as doubled
+    intermediate spins (2 s_1, ..., 2 s_n), in descending lexicographic order."""
+
+    def extend(path: tuple[int, ...]) -> list[tuple[int, ...]]:
         if len(path) == n:
-            return [path] if path[-1] == s else []
+            return [path] if path[-1] == two_s else []
         out = []
         current = path[-1]
-        for nxt in (current + half, current - half):
+        for nxt in (current + 1, current - 1):
             # Prune branches that cannot reach s in the remaining steps.
             remaining = n - len(path) - 1
-            if nxt < 0 or abs(nxt - s) > Fraction(remaining, 2):
+            if nxt < 0 or abs(nxt - two_s) > remaining:
                 continue
             out.extend(extend(path + (nxt,)))
         return out
 
-    return extend((half,))
+    return extend((1,))
 
 
 def degeneracy(n: int, s: float) -> int:
-    """Number of independent (n, s) spin eigenfunction families."""
-    return len(_branch_paths(n, Fraction(s).limit_denominator(2)))
+    """Number of (n, s) spin eigenfunction families; s is a half-integer."""
+    return len(_branch_paths(n, _doubled(s, "s")))
 
 
 def spin_eigenfunction(n: int, s: float, ms: float, d: int = 1) -> SpinEigenfunction:
     """Build X(n, s, ms; d) by the addition-theorem recurrence.
 
-    Raises ValueError for invalid quantum numbers or an out-of-range
-    degeneracy index.
+    Raises ValueError for invalid quantum numbers (s and ms must be
+    half-integers) or an out-of-range degeneracy index.
     """
-    s_frac = Fraction(s).limit_denominator(2)
-    ms_frac = Fraction(ms).limit_denominator(2)
     if n < 1:
         raise ValueError("need at least one spin")
-    if (s_frac * 2).denominator != 1 or (ms_frac * 2).denominator != 1:
-        raise ValueError(f"s={s} and ms={ms} must be half-integers")
-    if (s_frac - Fraction(n, 2)).denominator != 1:
-        raise ValueError(f"s={s} has wrong parity for {n} spins")
-    if s_frac < 0 or s_frac > Fraction(n, 2) or abs(ms_frac) > s_frac:
+    two_s, two_ms = _doubled(s, "s"), _doubled(ms, "ms")
+    if not 0 <= two_s <= n or abs(two_ms) > two_s or (n - two_s) % 2 or (two_s - two_ms) % 2:
         raise ValueError(f"quantum numbers (s={s}, ms={ms}) invalid for n={n}")
-    paths = _branch_paths(n, s_frac)
-    if not paths:
-        raise ValueError(f"no coupling path reaches s={s} with {n} spins")
+    paths = _branch_paths(n, two_s)
     if not 1 <= d <= len(paths):
         raise ValueError(f"degeneracy index {d} out of range 1..{len(paths)}")
     path = paths[d - 1]
-    coeffs = _recurse_path(path, ms_frac)
+    coeffs = _recurse_path(path, two_ms)
     # Sign convention: when the final coupling lowers the total spin, the
     # M < 0 members enter with the dominant-weight ket positive, i.e. the
     # opposite overall sign to the raw recurrence.  Applied only at the
     # top level so intermediate states stay phase-consistent.
-    if n >= 2 and ms_frac < 0 and path[-1] == path[-2] - Fraction(1, 2):
+    if n >= 2 and two_ms < 0 and path[-1] == path[-2] - 1:
         coeffs = -coeffs
-    return SpinEigenfunction(n, float(s_frac), float(ms_frac), d, coeffs)
+    return SpinEigenfunction(n, two_s / 2, two_ms / 2, d, coeffs)
 
 
-def _recurse_path(path: tuple[Fraction, ...], ms: Fraction) -> np.ndarray:
-    """Coefficient vector for the eigenfunction along one branching path.
+def _recurse_path(path: tuple[int, ...], two_ms: int) -> np.ndarray:
+    """Coefficient vector along one path of doubled spins, at doubled ms two_ms.
 
     Coupling the k-th spin onto an (k-1)-spin eigenfunction with total
     spin S gives, for the two branches S' = S +- 1/2 and target magnetic
@@ -225,32 +194,30 @@ def _recurse_path(path: tuple[Fraction, ...], ms: Fraction) -> np.ndarray:
 
     with X == 0 whenever |M| exceeds the sector spin.
     """
-    half = Fraction(1, 2)
 
-    def build(level: int, m: Fraction) -> np.ndarray:
+    def build(level: int, two_m: int) -> np.ndarray:
         size = 2 ** level
-        if abs(m) > path[level - 1]:
+        if abs(two_m) > path[level - 1]:
             return np.zeros(size)
         if level == 1:
-            return np.array([1.0, 0.0]) if m == half else np.array([0.0, 1.0])
-        s_prev = path[level - 2]
-        s_new = path[level - 1]
-        up = build(level - 1, m - half)
-        down = build(level - 1, m + half)
-        norm = float(2 * s_prev + 1)
-        a = float(s_prev + m + half)
-        b = float(s_prev - m + half)
-        if s_new == s_prev + half:
-            coeff_up, coeff_down = np.sqrt(a / norm), np.sqrt(b / norm)
+            return np.array([1.0, 0.0]) if two_m == 1 else np.array([0.0, 1.0])
+        two_prev = path[level - 2]
+        up = build(level - 1, two_m - 1)
+        down = build(level - 1, two_m + 1)
+        norm = 2 * (two_prev + 1)
+        a = (two_prev + two_m + 1) / norm
+        b = (two_prev - two_m + 1) / norm
+        if path[level - 1] == two_prev + 1:
+            coeff_up, coeff_down = np.sqrt(a), np.sqrt(b)
         else:
-            coeff_up, coeff_down = -np.sqrt(b / norm), np.sqrt(a / norm)
+            coeff_up, coeff_down = -np.sqrt(b), np.sqrt(a)
         out = np.zeros(size)
         # Appending the new spin adds one low-order bit: up -> even slots.
         out[0::2] = coeff_up * up
         out[1::2] = coeff_down * down
         return out
 
-    return build(len(path), ms)
+    return build(len(path), two_ms)
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -295,15 +262,10 @@ def spin_eigenbasis(n: int) -> list[SpinEigenfunction]:
     """Complete orthonormal eigenfunction list, sectors ordered by total
     spin descending, then degeneracy index, then ms descending."""
     basis = []
-    s = Fraction(n, 2)
-    while s >= 0:
-        n_paths = degeneracy(n, float(s))
-        for d in range(1, n_paths + 1):
-            m = s
-            while m >= -s:
-                basis.append(spin_eigenfunction(n, float(s), float(m), d))
-                m -= 1
-        s -= 1
+    for two_s in range(n, -1, -2):
+        for d in range(1, len(_branch_paths(n, two_s)) + 1):
+            for two_ms in range(two_s, -two_s - 1, -2):
+                basis.append(spin_eigenfunction(n, two_s / 2, two_ms / 2, d))
     return basis
 
 
@@ -314,6 +276,7 @@ class ExchangeSectors(NamedTuple):
     sizes: tuple[int, ...]
     blocks: Mapping[tuple[int, int], tuple[tuple[tuple[float, ...], ...], ...]]
     units: np.ndarray
+    basis: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +295,8 @@ def exchange_sectors(n: int) -> ExchangeSectors:
     of the real 2^n x 2^n matrices v_a v_b^T, sector by sector and (a, b)
     row-major within one: an operator that is block diagonal on the
     sectors is its blocks' entries in that order, times the stack.  The
-    stack is stored complex, the type of the operators it assembles.
+    stack is stored complex, the type of the operators it assembles, and
+    `basis` holds the sectors' basis vectors as columns in the same order.
     """
     sectors: dict[tuple[float, float], list[np.ndarray]] = {}
     for member in spin_eigenbasis(n):
@@ -343,8 +307,32 @@ def exchange_sectors(n: int) -> ExchangeSectors:
               for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     units = np.array([np.outer(v[:, a], v[:, b]) for v in bases
                       for a in range(v.shape[1]) for b in range(v.shape[1])], dtype=complex)
+    basis = np.hstack(bases)
     units.setflags(write=False)
-    return ExchangeSectors(tuple(v.shape[1] for v in bases), MappingProxyType(blocks), units)
+    basis.setflags(write=False)
+    sizes = tuple(v.shape[1] for v in bases)
+    return ExchangeSectors(sizes, MappingProxyType(blocks), units, basis)
+
+
+@lru_cache(maxsize=512)
+def sector_hamiltonian(system: SpinSystem) -> tuple[ExchangeSectors, tuple]:
+    """Cached sector table of the register and H = sum J_ij (1/2 - P_ij) on
+    each sector in table order: a float on a 1x1 sector, a real symmetric
+    2x2 nested tuple on a doublet plane.  Up to three spins no sector is
+    larger, so a larger register raises ValueError."""
+    if system.n_spins > 3:
+        raise ValueError(f"the sector frame covers at most 3 spins, got {system.n_spins}")
+    sectors = exchange_sectors(system.n_spins)
+    terms = [(strength, sectors.blocks[i, j]) for i, j, strength in system.couplings]
+    half = 0.5 * sum(strength for strength, _ in terms)
+
+    def entry(sector: int, a: int, b: int) -> float:
+        return half * (a == b) - sum([strength * blocks[sector][a][b]
+                                      for strength, blocks in terms])
+
+    return sectors, tuple(entry(k, 0, 0) if size == 1 else
+                          ((entry(k, 0, 0), entry(k, 0, 1)), (entry(k, 0, 1), entry(k, 1, 1)))
+                          for k, size in enumerate(sectors.sizes))
 
 
 #: Eigenvalues closer than this form one degenerate eigenspace.
@@ -353,9 +341,28 @@ DEGENERACY_ATOL = 1e-9
 
 @lru_cache(maxsize=512)
 def system_eigensystem(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Cached exact diagonalization of the system Hamiltonian: ascending
-    eigenvalues and the eigenvectors as columns, both read-only."""
-    values, vectors = np.linalg.eigh(build_hamiltonian(system))
+    """Cached exact spectrum from the sector blocks of `sector_hamiltonian`:
+    ascending eigenvalues and the real eigenvectors as columns, both
+    read-only.  A doublet block c I + r (cos 2a Z + sin 2a X) has levels
+    c -+ r, and its plane's basis turned by the half-angle a holds its
+    eigenvectors (-sin a, cos a) and (cos a, sin a)."""
+    sectors, hamiltonian = sector_hamiltonian(system)
+    energies, rotation, k = [], np.zeros((system.dim, system.dim)), 0
+    for size, h in zip(sectors.sizes, hamiltonian):
+        if size == 1:
+            energies.append(h)
+            rotation[k, k] = 1.0
+        else:
+            (h00, h01), (_, h11) = h
+            centre, split = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+            radius, angle = math.hypot(split, h01), 0.5 * math.atan2(h01, split)
+            c, s = math.cos(angle), math.sin(angle)
+            energies += [centre - radius, centre + radius]
+            rotation[k:k + 2, k:k + 2] = ((-s, c), (c, s))
+        k += size
+    order = sorted(range(system.dim), key=energies.__getitem__)
+    values = np.array(energies)[order]
+    vectors = sectors.basis @ rotation[:, order]
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors
@@ -372,7 +379,7 @@ def assignment(system: SpinSystem, label: str) -> tuple[int, float, float]:
     weight, ties going to the lower energy.  The index is the eigenspace's
     first (lowest) eigenvector index and the weight is the squared norm of
     the state's projection onto the whole eigenspace, so neither depends
-    on the basis the eigensolver picks inside a degenerate eigenspace.
+    on the basis picked inside a degenerate eigenspace.
     """
     values, vectors = system_eigensystem(system)
     weights = np.abs(vectors.T @ named_state(label, system.n_spins).coefficients) ** 2

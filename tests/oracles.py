@@ -24,6 +24,11 @@ register unitary is one full-width register gate with its control as the
 last target.  Qubit and ancilla conventions are those of the `qpde.spin`
 module docstring.
 `gaussian_model` is the curve that `qpde.fitting.fit_gaussian` fits.
+`build_hamiltonian`, `spin_squared` and `spin_z` are the dense 2^n x 2^n
+operators, and `exact_evolution` is exp(-iHt) from numpy's `eigh` of the
+dense Hamiltonian: the references for the package's total-spin sector
+frame, at any register size.  `random_system` draws the spin systems
+they are compared on.
 """
 from __future__ import annotations
 
@@ -393,3 +398,43 @@ def gaussian_model(x: np.ndarray, offset: float, amplitude: float,
                    mu: float, sigma: float) -> np.ndarray:
     """The fit's surrogate offset + amplitude exp(-((x - mu) / sigma)^2 / 2)."""
     return offset + amplitude * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+
+
+def build_hamiltonian(system: SpinSystem) -> np.ndarray:
+    """Dense 2^n x 2^n Heisenberg Hamiltonian sum J (I/2 - P_ij), real symmetric."""
+    n = system.n_spins
+    half = 0.5 * np.eye(system.dim)
+    h = np.zeros((system.dim, system.dim))
+    for i, j, strength in system.couplings:
+        h += strength * (half - exchange_operator(n, i, j))
+    return h
+
+
+def spin_squared(n: int) -> np.ndarray:
+    """Total-spin operator S^2 = 3n/4 + sum_{i<j} (P_ij - 1/2) for n spin-1/2 sites."""
+    half = 0.5 * np.eye(2 ** n)
+    s2 = 0.75 * n * np.eye(2 ** n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            s2 += exchange_operator(n, i, j) - half
+    return s2
+
+
+def spin_z(n: int) -> np.ndarray:
+    """Total S_z, diagonal in the computational basis."""
+    return np.diag([(n - 2 * bin(idx).count("1")) / 2.0 for idx in range(2 ** n)])
+
+
+def random_system(rng: np.random.Generator, n: int) -> SpinSystem:
+    """n spins with a random subset of the pairs coupled, each strength
+    zero, negative or positive."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = [pair for pair in pairs if rng.random() < 0.8]
+    strengths = rng.choice([0.0, -1.0, 1.0], size=len(chosen)) * rng.uniform(0, 2, len(chosen))
+    return SpinSystem(n, tuple(pair + (float(j),) for pair, j in zip(chosen, strengths)))
+
+
+def exact_evolution(system: SpinSystem, t: float) -> np.ndarray:
+    """exp(-iHt) from numpy's eigh of the dense Hamiltonian."""
+    values, vectors = np.linalg.eigh(build_hamiltonian(system))
+    return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T

@@ -10,17 +10,17 @@ import numpy as np
 import pytest
 
 import qpde.engine as engine
-from oracles import (Circuit, Gate, TrotterPlan, analytic_p0, circuit_p0,
-                     circuit_unitary, to_spin_eigenbasis, trotter_circuit)
+from oracles import (Circuit, Gate, TrotterPlan, analytic_p0, build_hamiltonian,
+                     circuit_p0, circuit_unitary, exact_evolution, spin_squared,
+                     to_spin_eigenbasis, trotter_circuit)
 from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
                          run_estimation)
-from qpde.evolution import evolution_block, exact_evolution
+from qpde.evolution import evolution_block
 from qpde.fitting import FitResult
 from qpde.optimizer import cost_report
 from qpde.sampling import SamplerSpec
-from qpde.spin import (build_hamiltonian, exact_gap, linear_chain, named_state,
-                       spin_eigenbasis, spin_eigenfunction, spin_squared,
-                       system_eigensystem, triangle, two_spin_system)
+from qpde.spin import (exact_gap, linear_chain, named_state, spin_eigenbasis,
+                       spin_eigenfunction, system_eigensystem, triangle, two_spin_system)
 
 SQRT2, SQRT3, SQRT6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import qpde.engine as engine
-from oracles import (PAULI_Z, TrotterPlan, analytic_p0, circuit_p0, circuit_unitary,
-                     trotter_circuit)
+from oracles import (PAULI_Z, TrotterPlan, analytic_p0, build_hamiltonian, circuit_p0,
+                     circuit_unitary, trotter_circuit)
 from qpde.engine import (EstimatorConfig, PriorSpec, build_excitation_unitary,
                          check_restart, default_steps, next_time, run_estimation,
                          sweep, sweep_grid)
@@ -17,8 +17,8 @@ from qpde.evolution import evolution_block, exchange_rotations
 from qpde.fitting import FitResult, GaussianEstimate
 from qpde import sampling, spin
 from qpde.sampling import SamplerSpec
-from qpde.spin import (SpinSystem, build_hamiltonian, linear_chain, named_state,
-                       system_eigensystem, triangle, two_spin_system)
+from qpde.spin import (SpinSystem, linear_chain, named_state, system_eigensystem, triangle,
+                       two_spin_system)
 
 
 def _states(system, ground, excited):
@@ -602,6 +602,28 @@ def test_noisy_mode_requires_trotter():
                        PriorSpec("gaussian", 0.0, 10.0),
                        EstimatorConfig(evolution="exact"),
                        SamplerSpec(mode="noisy"))
+
+
+@pytest.mark.parametrize("fields", [
+    {"grid_points": 21.0}, {"max_iterations": 2.5}, {"fit_retry_limit": 1.5},
+    {"restart_limit": True}, {"grid_points": "21"},
+    {"explicit_schedule": ((0.2, 2.5), (0.4, 7))}, {"explicit_schedule": ((0.4, "7"),)},
+    {"explicit_schedule": ((0.2, True),)},
+], ids=["float_grid_points", "fractional_max_iterations", "fractional_fit_retry_limit",
+        "bool_restart_limit", "string_grid_points", "fractional_schedule_steps",
+        "string_schedule_steps", "bool_schedule_steps"])
+def test_estimator_config_rejects_integer_fields_that_are_not_integers(fields):
+    # Before, a schedule step count went through int() (2.5 ran 2 steps,
+    # True ran 1) and a float count constructed, then raised TypeError mid-run.
+    with pytest.raises(ValueError, match="must be an integer"):
+        EstimatorConfig(**fields)
+
+
+def test_estimator_config_takes_numpy_integers_as_ints():
+    config = EstimatorConfig(grid_points=np.int64(9), explicit_schedule=((0.2, np.int32(3)),))
+    assert type(config.grid_points) is int and config.grid_points == 9
+    assert config.explicit_schedule == ((0.2, 3),)
+    assert type(config.explicit_schedule[0][1]) is int
 
 
 def test_estimator_config_validation():

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import TrotterPlan, circuit_unitary, pair_term_unitary, trotter_circuit
+from oracles import (TrotterPlan, build_hamiltonian, circuit_unitary, exact_evolution,
+                     pair_term_unitary, random_system, trotter_circuit)
 from qpde.engine import EstimatorConfig, PriorSpec, sweep
-from qpde.evolution import evolution_block, exact_evolution
+from qpde.evolution import evolution_block
 from qpde.sampling import SamplerSpec
-from qpde.spin import (SpinSystem, build_hamiltonian, linear_chain, named_state, triangle,
-                       two_spin_system)
+from qpde.spin import SpinSystem, linear_chain, named_state, triangle, two_spin_system
 
 
 def test_zero_time_is_identity():
@@ -93,6 +93,20 @@ def test_exact_evolution_group_property():
     assert np.max(np.abs(u1 @ u2 - u12)) <= 1e-10
 
 
+def test_exact_block_matches_dense_eigh_oracle():
+    # The sector-spectrum propagator against exp(-iHt) from numpy's eigh of
+    # the dense Hamiltonian, on one, two and three spins with zero,
+    # negative and positive couplings, and the degenerate triangles.
+    rng = np.random.default_rng(61)
+    systems = [SpinSystem(1, ()), triangle(1.0, 1.0, 1.0), triangle(-0.7, -0.7, -0.7)]
+    systems += [random_system(rng, 1 + k % 3) for k in range(300)]
+    for system in systems:
+        t = float(rng.uniform(0, 10))
+        block = evolution_block(system, t, "exact", None)
+        assert np.max(np.abs(block - exact_evolution(system, t))) <= 1e-13
+        assert np.max(np.abs(block.conj().T @ block - np.eye(system.dim))) <= 1e-13
+
+
 def test_first_order_error_halves_when_steps_double():
     system = triangle(1.0, 1.0, 1.0)
     t = 0.8
@@ -146,8 +160,8 @@ def test_trotter_block_rejects_more_than_three_spins():
     system = SpinSystem(4, ((1, 2, 1.0), (3, 4, 0.5)))
     with pytest.raises(ValueError, match="at most 3 spins"):
         evolution_block(system, 0.5, "trotter", 10)
-    exact = evolution_block(system, 0.5, "exact", None)
-    assert np.max(np.abs(exact.conj().T @ exact - np.eye(16))) <= 1e-13
+    with pytest.raises(ValueError, match="at most 3 spins"):
+        evolution_block(system, 0.5, "exact", None)
 
 
 @pytest.mark.parametrize("n_steps", [-3, 0, 2.5, 3.0, None])

@@ -31,6 +31,7 @@ TEST_ONLY_NAMES = {
     "Gate", "Gate.two", "Gate.register", "Statevector", "SWAP", "pair_term_unitary",
     "SpinEigenfunction.to_statevector", "_SweepEvaluator", "SpectrumReport.labeled_gaps",
     "SpectrumReport", "reference_gap", "trotter_step_unitary", "_exchange_rotation",
+    "build_hamiltonian", "spin_squared", "spin_z", "exact_evolution", "MAX_TROTTER_SPINS",
 }
 
 

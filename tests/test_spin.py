@@ -7,11 +7,12 @@ the test-local Kronecker product of spin matrices.
 import numpy as np
 import pytest
 
-from oracles import to_spin_eigenbasis
-from qpde.spin import (SpinEigenfunction, SpinSystem, assignment, build_hamiltonian,
-                       exact_gap, exchange_operator, exchange_sectors, linear_chain,
-                       named_state, spin_eigenbasis, spin_eigenfunction, spin_squared,
-                       spin_z, system_eigensystem, triangle, two_spin_system)
+from oracles import (build_hamiltonian, random_system, spin_squared, spin_z,
+                     to_spin_eigenbasis)
+from qpde.spin import (SpinEigenfunction, SpinSystem, assignment, degeneracy, exact_gap,
+                       exchange_operator, exchange_sectors, linear_chain, named_state,
+                       sector_hamiltonian, spin_eigenbasis, spin_eigenfunction,
+                       system_eigensystem, triangle, two_spin_system)
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -206,6 +207,15 @@ def test_exchange_sectors_rebuild_every_exchange_operator(n, sizes):
         assert np.max(np.abs(rebuilt - exchange_operator(n, i, j))) <= 1e-14
         for block in blocks:
             assert np.allclose(block, np.transpose(block), rtol=0, atol=1e-15)
+    # The basis columns, sector by sector, are the vectors of the units.
+    basis = table.basis
+    assert np.max(np.abs(basis.T @ basis - np.eye(2 ** n))) <= 1e-14
+    unit, column = 0, 0
+    for m in sizes:
+        for a in range(m):
+            outer = np.outer(basis[:, column + a], basis[:, column + a])
+            assert np.array_equal(table.units[unit + a * m + a], outer)
+        unit, column = unit + m * m, column + m
 
 
 def test_exchange_sectors_differ_between_doublet_ms_values():
@@ -220,8 +230,9 @@ def test_exchange_sectors_differ_between_doublet_ms_values():
 def test_exchange_sectors_are_cached_and_read_only():
     table = exchange_sectors(3)
     assert exchange_sectors(3) is table
-    with pytest.raises(ValueError):
-        table.units[0, 0, 0] = 1.0
+    for array in (table.units, table.basis):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
     with pytest.raises(TypeError):
         table.blocks[1, 2] = ((1.0,),)
     with pytest.raises(AttributeError):
@@ -235,6 +246,21 @@ def test_invalid_quantum_numbers_rejected():
         spin_eigenfunction(3, 1.5, 2.5)  # ms > s
     with pytest.raises(ValueError):
         spin_eigenfunction(3, 0.5, 0.5, d=3)  # only two doublet families
+
+
+@pytest.mark.parametrize("n, s, ms", [(3, 0.7, 0.5), (3, 0.5, 0.3), (3, 0.5, 0.5 + 1e-9),
+                                      (2, 1.0, float("nan")), (3, float("inf"), 0.5)])
+def test_quantum_numbers_that_are_not_half_integers_are_rejected(n, s, ms):
+    # Before, s and ms were rounded to the nearest half-integer: (3, 0.7,
+    # 0.5) returned the s = 1/2 doublet and (3, 0.5, 0.3) the ms = 1/2 one.
+    with pytest.raises(ValueError, match="half-integer"):
+        spin_eigenfunction(n, s, ms)
+
+
+def test_degeneracy_rejects_a_spin_that_is_not_a_half_integer():
+    assert [degeneracy(3, s) for s in (1.5, 0.5)] == [1, 2]
+    with pytest.raises(ValueError, match="half-integer"):
+        degeneracy(3, 0.7)
 
 
 def test_named_states_match_definitions():
@@ -442,6 +468,67 @@ def test_system_eigensystem_matches_closed_form_spectrum():
         h = build_hamiltonian(system)
         assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-12
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(values.size))) <= 1e-12
+
+
+def test_sector_spectrum_matches_dense_eigh_oracle():
+    # The sector closed form against numpy's eigh of the dense Hamiltonian,
+    # including the degenerate frustrated triangles (R = 0).
+    rng = np.random.default_rng(2028)
+    systems = [SpinSystem(1, ()), SpinSystem(3, ()), triangle(1.0, 1.0, 1.0),
+               triangle(-0.7, -0.7, -0.7), two_spin_system(0.0)]
+    systems += [random_system(rng, 1 + k % 3) for k in range(330)]
+    for system in systems:
+        values, vectors = system_eigensystem(system)
+        h = build_hamiltonian(system)
+        assert values.dtype == vectors.dtype == np.float64
+        assert np.all(np.diff(values) >= 0)
+        assert np.max(np.abs(values - np.linalg.eigvalsh(h))) <= 1e-12
+        assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-12
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(system.dim))) <= 1e-12
+
+
+def test_system_eigensystem_is_cached_and_read_only():
+    values, vectors = system_eigensystem(linear_chain(1.0, 1.1))
+    assert system_eigensystem(linear_chain(1.0, 1.1))[1] is vectors
+    for array in (values, vectors):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_sector_hamiltonian_rebuilds_the_dense_hamiltonian():
+    rng = np.random.default_rng(31)
+    for k in range(60):
+        system = random_system(rng, 1 + k % 3)
+        sectors, blocks = sector_hamiltonian(system)
+        assert len(blocks) == len(sectors.sizes)
+        entries = []
+        for size, block in zip(sectors.sizes, blocks):
+            if size == 1:
+                assert isinstance(block, float)
+                entries.append(block)
+            else:
+                assert block[0][1] == block[1][0]
+                entries += [entry for row in block for entry in row]
+        rebuilt = np.tensordot(entries, sectors.units, 1)
+        assert np.max(np.abs(rebuilt - build_hamiltonian(system))) <= 1e-14
+
+
+def test_exchange_blocks_on_doublet_planes_are_traceless():
+    # The closed-form Trotter power treats each doublet-plane step as
+    # SU(2) times a global phase, which needs every P_ij block traceless.
+    for n in (2, 3):
+        for blocks in exchange_sectors(n).blocks.values():
+            for block in blocks:
+                if len(block) == 2:
+                    assert abs(block[0][0] + block[1][1]) <= 1e-15
+
+
+def test_sector_frame_rejects_more_than_three_spins():
+    system = SpinSystem(4, ((1, 2, 1.0), (3, 4, 0.5)))
+    with pytest.raises(ValueError, match="at most 3 spins"):
+        system_eigensystem(system)
+    with pytest.raises(ValueError, match="at most 3 spins"):
+        sector_hamiltonian(system)
 
 
 def test_eigenfunction_normalization_validated():
